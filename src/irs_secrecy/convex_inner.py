@@ -27,14 +27,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .solution import (
-    POWER_REL_TOL,
-    PSD_EIG_TOL,
-    TransmitSolution,
-    hermitize,
-)
+from .metrics import LN2
+from .solution import TransmitSolution, hermitize
 
-LN2 = np.log(2.0)
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 60
 LOG_GUARD = 1e-12  # reject log arguments below guard * noise constant
@@ -95,35 +90,51 @@ class SolverReport:
     power_slack: float
     min_eigenvalue: float
     status: SolverStatus
+    step_size: float = 1.0  # backtracking step in use at exit
+
+
+def _log_args(spec: SubproblemSpec, W: np.ndarray, Z: np.ndarray):
+    """n_k = tr(A_k (sum_r W_r + Z)) + s2_u for every k, and m = tr(B Z) + s2_e.
+
+    For Hermitian A_k, tr(A_k X) = Re <A_k, X>, so the K traces are one real
+    matmul of the flattened Gram stack against X viewed as (re, im) pairs.
+    """
+    x = np.asarray(W.sum(axis=0) + Z, dtype=complex)
+    n = _real_rows(spec.a_mats) @ x.reshape(-1).view(float) + spec.noise_user
+    m = np.vdot(spec.b_mat, Z).real + spec.noise_eve
+    return n, m
+
+
+def _real_rows(mats: np.ndarray) -> np.ndarray:
+    """(K, N, N) complex stack as K real rows of interleaved (re, im) entries."""
+    return mats.reshape(mats.shape[0], -1).view(float)
+
+
+def _objective(spec: SubproblemSpec, W, Z, n, m) -> float:
+    if (n <= LOG_GUARD * spec.noise_user).any() or m <= LOG_GUARD * spec.noise_eve:
+        return np.inf
+    lin = np.vdot(spec.lin_w, W).real + np.vdot(spec.lin_z, Z).real
+    return float(
+        -np.log2(n).sum() - spec.num_users * np.log2(m) - (spec.affine_const + lin)
+    )
+
+
+def _gradient(spec: SubproblemSpec, n, m):
+    coef = 1.0 / (LN2 * n)
+    s_a = (coef @ _real_rows(spec.a_mats)).view(complex).reshape(spec.b_mat.shape)
+    g_w = -s_a[None, :, :] - spec.lin_w
+    g_z = -s_a - (spec.num_users / (LN2 * m)) * spec.b_mat - spec.lin_z
+    return g_w, g_z
 
 
 def subproblem_objective(spec: SubproblemSpec, W: np.ndarray, Z: np.ndarray) -> float:
     """F1 + F2 minus the affine part; +inf outside the log domain guard."""
-    tw = np.einsum("kij,rji->kr", spec.a_mats, W).real
-    tz = np.einsum("kij,ji->k", spec.a_mats, Z).real
-    n = tw.sum(axis=1) + tz + spec.noise_user
-    m = np.einsum("ij,ji->", spec.b_mat, Z).real + spec.noise_eve
-    if np.any(n <= LOG_GUARD * spec.noise_user) or m <= LOG_GUARD * spec.noise_eve:
-        return np.inf
-    k = spec.num_users
-    lin = (
-        np.einsum("kij,kij->", np.conj(spec.lin_w), W).real
-        + np.einsum("ij,ij->", np.conj(spec.lin_z), Z).real
-    )
-    return float(-np.log2(n).sum() - k * np.log2(m) - (spec.affine_const + lin))
+    return _objective(spec, W, Z, *_log_args(spec, W, Z))
 
 
 def subproblem_gradient(spec: SubproblemSpec, W: np.ndarray, Z: np.ndarray):
     """Hermitian gradients (dW, dZ) of the subproblem objective."""
-    tw = np.einsum("kij,rji->kr", spec.a_mats, W).real
-    tz = np.einsum("kij,ji->k", spec.a_mats, Z).real
-    n = tw.sum(axis=1) + tz + spec.noise_user
-    m = np.einsum("ij,ji->", spec.b_mat, Z).real + spec.noise_eve
-    coef = 1.0 / (LN2 * n)
-    s_a = np.einsum("k,kij->ij", coef, spec.a_mats)
-    g_w = -s_a[None, :, :] - spec.lin_w
-    g_z = -s_a - (spec.num_users / (LN2 * m)) * spec.b_mat - spec.lin_z
-    return g_w, g_z
+    return _gradient(spec, *_log_args(spec, W, Z))
 
 
 def _psd_clip(mats: np.ndarray) -> np.ndarray:
@@ -156,17 +167,22 @@ def _project_exact(W: np.ndarray, Z: np.ndarray, p_max: float, an_enabled: bool)
     point, which keeps projected-gradient steps descent directions.
     """
     stack = np.concatenate([W, Z[None]], axis=0) if an_enabled else W
-    vals, vecs = np.linalg.eigh(hermitize(stack))
+    # eigh reads one triangle, so the stack needs no explicit symmetrization
+    vals, vecs = np.linalg.eigh(stack)
     clipped = np.maximum(vals, 0.0)
     if clipped.sum() > p_max:
-        flat = np.sort(vals.ravel())[::-1]
-        cumsum = np.cumsum(flat)
-        idx = np.arange(1, flat.size + 1)
-        level = (cumsum - p_max) / idx
-        active = np.nonzero(flat - level > 0)[0]
+        flat = np.sort(vals, axis=None)[::-1]
+        cumsum = flat.cumsum()
+        level = (cumsum - p_max) / np.arange(1, flat.size + 1)
+        active = np.flatnonzero(flat > level)
         lam = level[active[-1]] if active.size else cumsum[-1] - p_max
         clipped = np.maximum(vals - lam, 0.0)
-    out = np.einsum("kij,kj,klj->kil", vecs, clipped, np.conj(vecs))
+        # vals - lam cancels when the eigenvalues dwarf the budget (a long
+        # gradient step); rescale so the kept ones sum to p_max exactly
+        total = clipped.sum()
+        if total > 0.0:
+            clipped *= p_max / total
+    out = (vecs * clipped[:, None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
     if an_enabled:
         return out[:-1], out[-1]
     return out, np.zeros_like(Z)
@@ -189,17 +205,11 @@ def feasibility_map(candidate: TransmitSolution, p_max: float) -> TransmitSoluti
     return TransmitSolution(W=W, Z=Z, u=candidate.u, w=None)
 
 
-def _check_start_feasible(spec: SubproblemSpec, W: np.ndarray, Z: np.ndarray) -> None:
-    for name, mats in (("W", W), ("Z", Z[None])):
-        eigs = np.linalg.eigvalsh(hermitize(mats))
-        traces = np.einsum("kii->k", mats).real
-        if np.any(eigs.min(axis=1) < -PSD_EIG_TOL * np.maximum(traces, 1.0)):
-            raise ValueError(f"infeasible start: {name} not PSD within tolerance")
-    power = float(np.einsum("kii->", W).real + np.trace(Z).real)
-    if power > spec.p_max * (1.0 + POWER_REL_TOL) + POWER_REL_TOL:
-        raise ValueError(
-            f"infeasible start: power {power} exceeds budget {spec.p_max}"
-        )
+def _check_start_feasible(spec: SubproblemSpec, start: TransmitSolution) -> None:
+    try:
+        start.validate(spec.p_max)
+    except ValueError as exc:
+        raise ValueError(f"infeasible start: {exc}") from None
 
 
 def solve(
@@ -208,18 +218,26 @@ def solve(
     *,
     tol: float = 1e-6,
     max_iters: int = 500,
+    step_size: float = 1.0,
     backend: Optional[Callable] = None,
 ) -> tuple[TransmitSolution, SolverReport]:
     """Minimize the subproblem from a feasible start; never ascends.
 
     Stops when the unit-step gradient-mapping norm ||X - P(X - grad)||
-    drops below ``tol * (1 + |objective|)``. With ``backend`` set, delegates
-    to the external solver and re-validates its output against the same
-    feasibility and non-ascent contract.
+    drops below ``tol * (1 + |objective|)``. ``step_size`` is the first
+    trial step of the backtracking search, clamped to [1, 1e8]: the
+    displacement ||X - P(X - t grad)|| grows with t, so only from t >= 1
+    does a displacement at float noise prove stationarity, and a step that
+    backtracking collapsed to ~1e-16 at the end of one solve cannot freeze
+    the next. The step in use at exit is reported as
+    ``SolverReport.step_size`` so that a caller solving a sequence of
+    similar subproblems can start the next one from it. With
+    ``backend`` set, delegates to the external solver and re-validates its
+    output against the same feasibility and non-ascent contract.
     """
+    _check_start_feasible(spec, start)
     W0 = hermitize(np.asarray(start.W, dtype=complex))
     Z0 = hermitize(np.asarray(start.Z, dtype=complex))
-    _check_start_feasible(spec, W0, Z0)
 
     if backend is not None:
         sol, report = backend(spec, start)
@@ -233,39 +251,41 @@ def solve(
         return sol, report
 
     W, Z = _project_exact(W0, Z0, spec.p_max, spec.an_enabled)
-    q = subproblem_objective(spec, W, Z)
-    delta = 1.0
+    n, m = _log_args(spec, W, Z)
+    q = _objective(spec, W, Z, n, m)
+    delta = min(max(step_size, 1.0), 1e8)
     step_norm = 0.0
     residual = np.inf
     status = SolverStatus.MAX_ITERS
     iterations = 0
     check_residual = True  # evaluate the reference residual on entry
 
+    def _dist_sq(Wa, Za, Wb, Zb):
+        dW = Wa - Wb
+        dZ = Za - Zb
+        return float(np.vdot(dW, dW).real + np.vdot(dZ, dZ).real)
+
     def _unit_step_residual(g_w, g_z):
         # norm of the gradient mapping at unit reference step; zero exactly
         # at KKT points of the subproblem
         Wr, Zr = _project_exact(W - g_w, Z - g_z, spec.p_max, spec.an_enabled)
-        return float(
-            np.sqrt(np.linalg.norm(Wr - W) ** 2 + np.linalg.norm(Zr - Z) ** 2)
-        )
+        return float(np.sqrt(_dist_sq(Wr, Zr, W, Z)))
 
     for iterations in range(1, max_iters + 1):
-        g_w, g_z = subproblem_gradient(spec, W, Z)
+        g_w, g_z = _gradient(spec, n, m)
         if check_residual:
             residual = _unit_step_residual(g_w, g_z)
             if residual <= tol * (1.0 + abs(q)):
                 status = SolverStatus.CONVERGED
                 break
-        x_norm = float(np.sqrt(np.linalg.norm(W) ** 2 + np.linalg.norm(Z) ** 2))
+        x_norm = float(np.sqrt(np.vdot(W, W).real + np.vdot(Z, Z).real))
         accepted = False
         stalled = False
-        for _ in range(MAX_BACKTRACKS):
+        for trial in range(MAX_BACKTRACKS):
             Wt, Zt = _project_exact(
                 W - delta * g_w, Z - delta * g_z, spec.p_max, spec.an_enabled
             )
-            step_sq = float(
-                np.linalg.norm(Wt - W) ** 2 + np.linalg.norm(Zt - Z) ** 2
-            )
+            step_sq = _dist_sq(Wt, Zt, W, Z)
             step = np.sqrt(step_sq)
             if step <= 1e-13 * (1.0 + x_norm):
                 # below eigendecomposition noise: the map cannot move the point
@@ -273,7 +293,8 @@ def solve(
                 status = SolverStatus.CONVERGED
                 stalled = True
                 break
-            qt = subproblem_objective(spec, Wt, Zt)
+            nt, mt = _log_args(spec, Wt, Zt)
+            qt = _objective(spec, Wt, Zt, nt, mt)
             if qt <= q - (ARMIJO_C / delta) * step_sq:
                 accepted = True
                 break
@@ -290,20 +311,18 @@ def solve(
             )
             break
         step_norm = float(np.sqrt(step_sq))
-        W, Z, q = Wt, Zt, qt
-        delta = min(delta * 2.0, 1e8)
+        W, Z, q, n, m = Wt, Zt, qt, nt, mt
+        if trial == 0:
+            # grow only after a first-trial acceptance: doubling the step that
+            # just needed a backtrack would be rejected again next iteration
+            delta = min(delta * 2.0, 1e8)
         # a small accepted displacement is only a hint: confirm with the
         # unit-step residual next round (a huge step size can fake smallness)
         check_residual = step_norm / delta <= tol * (1.0 + abs(q))
         residual = step_norm / delta
 
     power = float(np.einsum("kii->", W).real + np.trace(Z).real)
-    min_eig = float(
-        min(
-            np.linalg.eigvalsh(hermitize(W)).min(),
-            np.linalg.eigvalsh(hermitize(Z)).min(),
-        )
-    )
+    min_eig = float(np.linalg.eigvalsh(np.concatenate([W, Z[None]])).min())
     report = SolverReport(
         objective=q,
         iterations=iterations,
@@ -312,5 +331,6 @@ def solve(
         power_slack=spec.p_max - power,
         min_eigenvalue=min_eig,
         status=status,
+        step_size=delta,
     )
     return TransmitSolution(W=W, Z=Z, u=start.u, w=None), report

@@ -18,9 +18,9 @@ import time
 import numpy as np
 
 from .channels import ChannelSet
+from .metrics import LN2
 from .solution import HistoryRecord, RunHistory, hermitize
 
-LN2 = np.log(2.0)
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 50
 

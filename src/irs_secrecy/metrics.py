@@ -44,6 +44,11 @@ def _log_arguments(W, Z, u, ch):
     """
     h = effective_user_channels(ch, u)
     b = effective_eve_channel(ch, u)
+    return _log_arguments_at(W, Z, h, b, ch)
+
+
+def _log_arguments_at(W, Z, h, b, ch):
+    """:func:`_log_arguments` from precomputed effective channels h_k and b."""
     # S[k, r] = tr(W_r A_k) = h_k^H W_r h_k
     S = np.einsum("kn,rnp,kp->kr", np.conj(h), W, h).real
     zq = np.einsum("kn,np,kp->k", np.conj(h), Z, h).real

@@ -70,6 +70,7 @@ def _alternate(
     f_prev = _record(history, 0, "init", TransmitSolution(W=W, Z=Z, u=u), work, None)
 
     history.status = "max_iters"
+    step_size = 1.0
     for t in range(1, cfg.max_outer_iters + 1):
         t0 = time.perf_counter()
         # the covariance phase must resolve finer than the outer |df| test,
@@ -82,8 +83,9 @@ def _alternate(
             tol=0.1 * cfg.tol_outer,
             max_iters=cfg.sca_max_iters,
             an_enabled=an_enabled,
+            step_size=step_size,
         )
-        W, Z = sol_t.W, sol_t.Z
+        W, Z, step_size = sol_t.W, sol_t.Z, sca_hist.step_size
         _record(
             history,
             t,

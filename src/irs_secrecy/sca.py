@@ -21,6 +21,7 @@ from .convex_inner import InnerSolverError, SolverStatus, SubproblemSpec
 from .metrics import (
     LN2,
     _log_arguments,
+    _log_arguments_at,
     effective_eve_channel,
     effective_user_channels,
     objective_value,
@@ -31,23 +32,16 @@ from .solution import HistoryRecord, RunHistory, TransmitSolution, hermitize
 logger = logging.getLogger(__name__)
 
 
-def _gram_matrices(u: np.ndarray, ch: ChannelSet):
-    """A_k = h_k h_k^H and B = b b^H for the current phase vector."""
+def _channels_and_grams(u: np.ndarray, ch: ChannelSet):
+    """h_k, b and their Gram matrices A_k = h_k h_k^H, B = b b^H at phases u."""
     h = effective_user_channels(ch, u)
     b = effective_eve_channel(ch, u)
     a_mats = np.einsum("kn,kp->knp", h, np.conj(h))
     b_mat = np.outer(b, np.conj(b))
-    return a_mats, b_mat
+    return h, b, a_mats, b_mat
 
 
-def grad_G1(W: np.ndarray, Z: np.ndarray, u: np.ndarray, ch: ChannelSet):
-    """Gradients of G1 wrt each W_r and Z; all outputs Hermitian.
-
-    G1 = -sum_k log2(d_k) with d_k the interference-plus-noise term of user
-    k, so dG1/dW_r = -sum_{k != r} A_k / (ln2 d_k) and dG1/dZ sums over all k.
-    """
-    a_mats, _ = _gram_matrices(u, ch)
-    _, d, _, _, _ = _log_arguments(W, Z, u, ch)
+def _g1_gradients(a_mats: np.ndarray, d: np.ndarray):
     if np.any(d <= 0):
         raise ValueError("non-positive log argument in G1")
     coef = 1.0 / (LN2 * d)
@@ -57,16 +51,31 @@ def grad_G1(W: np.ndarray, Z: np.ndarray, u: np.ndarray, ch: ChannelSet):
     return hermitize(g_w), hermitize(g_z)
 
 
-def grad_G2(W: np.ndarray, Z: np.ndarray, u: np.ndarray, ch: ChannelSet):
-    """Gradients of G2 wrt each W_k and Z; per-user denominators e_k."""
-    _, b_mat = _gram_matrices(u, ch)
-    _, _, e, _, _ = _log_arguments(W, Z, u, ch)
+def _g2_gradients(b_mat: np.ndarray, e: np.ndarray):
     if np.any(e <= 0):
         raise ValueError("non-positive log argument in G2")
     coef = 1.0 / (LN2 * e)
     g_w = -coef[:, None, None] * b_mat[None, :, :]
     g_z = -coef.sum() * b_mat
     return hermitize(g_w), hermitize(g_z)
+
+
+def grad_G1(W: np.ndarray, Z: np.ndarray, u: np.ndarray, ch: ChannelSet):
+    """Gradients of G1 wrt each W_r and Z; all outputs Hermitian.
+
+    G1 = -sum_k log2(d_k) with d_k the interference-plus-noise term of user
+    k, so dG1/dW_r = -sum_{k != r} A_k / (ln2 d_k) and dG1/dZ sums over all k.
+    """
+    h, b, a_mats, _ = _channels_and_grams(u, ch)
+    _, d, _, _, _ = _log_arguments_at(W, Z, h, b, ch)
+    return _g1_gradients(a_mats, d)
+
+
+def grad_G2(W: np.ndarray, Z: np.ndarray, u: np.ndarray, ch: ChannelSet):
+    """Gradients of G2 wrt each W_k and Z; per-user denominators e_k."""
+    h, b, _, b_mat = _channels_and_grams(u, ch)
+    _, _, e, _, _ = _log_arguments_at(W, Z, h, b, ch)
+    return _g2_gradients(b_mat, e)
 
 
 @dataclass
@@ -111,17 +120,19 @@ def build_subproblem(
     Z_i = hermitize(np.asarray(Z_i, dtype=complex))
     TransmitSolution(W=W_i, Z=Z_i, u=u).validate(p_max)
 
-    lin1 = linearize_g1(W_i, Z_i, u, ch)
-    lin2 = linearize_g2(W_i, Z_i, u, ch)
-    lin_w = lin1.grad_w + lin2.grad_w
-    lin_z = lin1.grad_z + lin2.grad_z
+    # one pass over the channels: the same values as linearize_g1 + linearize_g2
+    h, b, a_mats, b_mat = _channels_and_grams(u, ch)
+    _, d, e, _, _ = _log_arguments_at(W_i, Z_i, h, b, ch)
+    g1_w, g1_z = _g1_gradients(a_mats, d)
+    g2_w, g2_z = _g2_gradients(b_mat, e)
+    lin_w = g1_w + g2_w
+    lin_z = g1_z + g2_z
     affine_const = (
-        lin1.value
-        + lin2.value
-        - np.einsum("kij,kij->", np.conj(lin_w), W_i).real
-        - np.einsum("ij,ij->", np.conj(lin_z), Z_i).real
+        -float(np.log2(d).sum())
+        - float(np.log2(e).sum())
+        - np.vdot(lin_w, W_i).real
+        - np.vdot(lin_z, Z_i).real
     )
-    a_mats, b_mat = _gram_matrices(u, ch)
     return SubproblemSpec(
         a_mats=a_mats,
         noise_user=ch.noise_user,
@@ -160,12 +171,12 @@ def default_start(
 def max_rank_residual(W: np.ndarray) -> float:
     """Largest second-to-first eigenvalue ratio across the user covariances."""
     vals = np.linalg.eigvalsh(hermitize(W))
-    out = 0.0
-    for k in range(W.shape[0]):
-        lam = vals[k]
-        if lam[-1] > 0 and lam.shape[0] > 1:
-            out = max(out, max(lam[-2], 0.0) / lam[-1])
-    return out
+    if vals.shape[1] < 2:
+        return 0.0
+    top = vals[:, -1]
+    second = np.maximum(vals[:, -2], 0.0)
+    ratios = np.divide(second, top, out=np.zeros_like(top), where=top > 0)
+    return float(ratios.max())
 
 
 def run_sca(
@@ -179,9 +190,15 @@ def run_sca(
     an_enabled: bool = True,
     inner_tol: float = 1e-6,
     inner_max_iters: int = 500,
+    step_size: float = 1.0,
     backend=None,
 ) -> tuple[TransmitSolution, RunHistory]:
-    """Iterate linearize-and-solve until |f change| <= tol, tracking f."""
+    """Iterate linearize-and-solve until |f change| <= tol, tracking f.
+
+    ``step_size`` starts the first inner solve; each later round starts from
+    the step the previous solve ended with, and the last one is returned as
+    ``history.step_size`` for the caller's next run.
+    """
     u = np.asarray(u, dtype=complex)
     if start is None:
         start = default_start(u, ch, p_max, an_enabled=an_enabled)
@@ -210,6 +227,7 @@ def run_sca(
             TransmitSolution(W=W, Z=Z, u=u),
             tol=inner_tol,
             max_iters=inner_max_iters,
+            step_size=step_size,
             backend=backend,
         )
         if report.status == SolverStatus.NUMERICAL_FAILURE:
@@ -218,6 +236,7 @@ def run_sca(
                 f"(residual {report.residual:.3e}, objective {report.objective:.6e})"
             )
         W, Z = sol_i.W, sol_i.Z
+        step_size = report.step_size
         f_new = objective_value(W, Z, u, ch)
         history.append(
             HistoryRecord(
@@ -233,6 +252,7 @@ def run_sca(
             history.status = "converged"
             break
         f_prev = f_new
+    history.step_size = step_size
     return TransmitSolution(W=W, Z=Z, u=u), history
 
 

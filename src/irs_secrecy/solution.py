@@ -57,12 +57,14 @@ class TransmitSolution:
 
     def validate(self, p_max: float) -> None:
         """Raise ValueError if any constraint is violated beyond tolerance."""
-        for name, mats in (("W", self.W), ("Z", self.Z[None])):
-            eigs = np.linalg.eigvalsh(hermitize(mats))
-            traces = np.einsum("kii->k", mats).real
-            floor = -PSD_EIG_TOL * np.maximum(traces, 1.0)
-            if np.any(eigs.min(axis=1) < floor):
-                raise ValueError(f"{name} is not PSD within tolerance")
+        # one stacked eigvalsh for all K + 1 matrices, each with its own floor
+        stack = np.concatenate([self.W, self.Z[None]], axis=0)
+        eigs = np.linalg.eigvalsh(hermitize(stack))
+        traces = np.einsum("kii->k", stack).real
+        bad = np.flatnonzero(eigs[:, 0] < -PSD_EIG_TOL * np.maximum(traces, 1.0))
+        if bad.size:
+            name = "W" if bad[0] < self.W.shape[0] else "Z"
+            raise ValueError(f"{name} is not PSD within tolerance")
         power = float(np.einsum("kii->", self.W).real + np.trace(self.Z).real)
         if power > p_max * (1.0 + POWER_REL_TOL) + POWER_REL_TOL:
             raise ValueError(f"power {power} exceeds budget {p_max}")
@@ -93,6 +95,7 @@ class RunHistory:
 
     records: list[HistoryRecord] = field(default_factory=list)
     status: str = "converged"
+    step_size: float | None = None  # inner solver step at the end of an SCA run
 
     def append(self, record: HistoryRecord) -> None:
         self.records.append(record)

@@ -142,6 +142,29 @@ class TestBuildSubproblem:
                 Ws, Zs, u, ch
             ) - 1e-9
 
+    def test_single_pass_matches_linearizations(self, rng):
+        for k, n in ((1, 3), (2, 1), (3, 4), (2, 2)):
+            for _ in range(10):
+                ch = random_channelset(rng, num_users=k, num_bs=n)
+                u = random_unit_modulus(rng, ch.num_irs_elements)
+                W, Z = feasible_point(rng, ch, power=float(rng.uniform(0.1, 6.0)))
+                spec = build_subproblem(W, Z, u, ch, p_max=6.0)
+                lin1 = linearize_g1(W, Z, u, ch)
+                lin2 = linearize_g2(W, Z, u, ch)
+                lin_w = lin1.grad_w + lin2.grad_w
+                lin_z = lin1.grad_z + lin2.grad_z
+                affine_const = (
+                    lin1.value
+                    + lin2.value
+                    - np.einsum("kij,kij->", np.conj(lin_w), W).real
+                    - np.einsum("ij,ij->", np.conj(lin_z), Z).real
+                )
+                assert np.linalg.norm(spec.lin_w - lin_w) <= 1e-12 * np.linalg.norm(lin_w)
+                assert np.linalg.norm(spec.lin_z - lin_z) <= 1e-12 * np.linalg.norm(lin_z)
+                assert abs(spec.affine_const - affine_const) <= 1e-12 * max(
+                    abs(affine_const), 1.0
+                )
+
     def test_dimensions(self, rng):
         ch = random_channelset(rng, num_users=3, num_bs=4)
         u = random_unit_modulus(rng, ch.num_irs_elements)
