@@ -21,7 +21,6 @@ from .convex_inner import (
     SolverReport,
     SolverStatus,
     SubproblemSpec,
-    feasibility_map,
     solve,
 )
 from .manifold import (
@@ -83,7 +82,6 @@ __all__ = [
     "eve_capacity",
     "extract_rank_one",
     "euclidean_gradient",
-    "feasibility_map",
     "from_phases",
     "generate_scenario",
     "grad_G1",

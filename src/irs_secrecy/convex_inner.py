@@ -10,25 +10,17 @@ machinery.
 The constraint set is spectral, which makes the exact Euclidean projection
 cheap (eigenvalue clip plus a water-filling shift when the power budget
 binds); :func:`solve` uses it so that the gradient mapping vanishes exactly
-at KKT points. The cheaper clip-then-rescale surrogate remains available as
-:func:`feasibility_map` for mapping arbitrary candidates into the feasible
-set.
-
-An external conic solver can be plugged in through the ``backend`` hook of
-:func:`solve`; the callable receives ``(spec, start)`` and must return a
-feasible ``(TransmitSolution, SolverReport)`` pair whose objective does not
-exceed the start's. The result is re-validated here.
+at KKT points.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
 
 import numpy as np
 
 from .metrics import LN2
-from .solution import TransmitSolution, hermitize
+from .solution import TransmitSolution, hermitize, total_power
 
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 60
@@ -137,25 +129,6 @@ def subproblem_gradient(spec: SubproblemSpec, W: np.ndarray, Z: np.ndarray):
     return _gradient(spec, *_log_args(spec, W, Z))
 
 
-def _psd_clip(mats: np.ndarray) -> np.ndarray:
-    """Project a stack of Hermitian matrices onto the PSD cone."""
-    vals, vecs = np.linalg.eigh(hermitize(mats))
-    vals = np.maximum(vals, 0.0)
-    return np.einsum("...ij,...j,...kj->...ik", vecs, vals, np.conj(vecs))
-
-
-def _project(W: np.ndarray, Z: np.ndarray, p_max: float, an_enabled: bool):
-    """Surrogate map of :func:`feasibility_map`: PSD clip then radial rescale."""
-    W = _psd_clip(W)
-    Z = _psd_clip(Z[None])[0] if an_enabled else np.zeros_like(Z)
-    power = float(np.einsum("kii->", W).real + np.trace(Z).real)
-    if power > p_max:
-        scale = 0.0 if power == 0.0 else p_max / power
-        W = W * scale
-        Z = Z * scale
-    return W, Z
-
-
 def _project_exact(W: np.ndarray, Z: np.ndarray, p_max: float, an_enabled: bool):
     """Exact Euclidean projection onto {W_k, Z PSD, total trace <= p_max}.
 
@@ -188,30 +161,6 @@ def _project_exact(W: np.ndarray, Z: np.ndarray, p_max: float, an_enabled: bool)
     return out, np.zeros_like(Z)
 
 
-def feasibility_map(candidate: TransmitSolution, p_max: float) -> TransmitSolution:
-    """Eigenvalue-clip to the PSD cone, then radially rescale into the budget.
-
-    Idempotent on feasible points; the output always satisfies the power and
-    PSD constraints.
-    """
-    if p_max < 0:
-        raise ValueError("p_max must be non-negative")
-    W, Z = _project(
-        hermitize(np.asarray(candidate.W, dtype=complex)),
-        hermitize(np.asarray(candidate.Z, dtype=complex)),
-        p_max,
-        an_enabled=True,
-    )
-    return TransmitSolution(W=W, Z=Z, u=candidate.u, w=None)
-
-
-def _check_start_feasible(spec: SubproblemSpec, start: TransmitSolution) -> None:
-    try:
-        start.validate(spec.p_max)
-    except ValueError as exc:
-        raise ValueError(f"infeasible start: {exc}") from None
-
-
 def solve(
     spec: SubproblemSpec,
     start: TransmitSolution,
@@ -219,7 +168,6 @@ def solve(
     tol: float = 1e-6,
     max_iters: int = 500,
     step_size: float = 1.0,
-    backend: Optional[Callable] = None,
 ) -> tuple[TransmitSolution, SolverReport]:
     """Minimize the subproblem from a feasible start; never ascends.
 
@@ -231,25 +179,14 @@ def solve(
     backtracking collapsed to ~1e-16 at the end of one solve cannot freeze
     the next. The step in use at exit is reported as
     ``SolverReport.step_size`` so that a caller solving a sequence of
-    similar subproblems can start the next one from it. With
-    ``backend`` set, delegates to the external solver and re-validates its
-    output against the same feasibility and non-ascent contract.
+    similar subproblems can start the next one from it.
     """
-    _check_start_feasible(spec, start)
+    try:
+        start.validate(spec.p_max)
+    except ValueError as exc:
+        raise ValueError(f"infeasible start: {exc}") from None
     W0 = hermitize(np.asarray(start.W, dtype=complex))
     Z0 = hermitize(np.asarray(start.Z, dtype=complex))
-
-    if backend is not None:
-        sol, report = backend(spec, start)
-        sol.validate(spec.p_max)
-        q_start = subproblem_objective(spec, W0, Z0)
-        q_back = subproblem_objective(spec, sol.W, sol.Z)
-        if q_back > q_start + 1e-9 * (1.0 + abs(q_start)):
-            raise InnerSolverError(
-                f"backend ascended: {q_back} > start objective {q_start}"
-            )
-        return sol, report
-
     W, Z = _project_exact(W0, Z0, spec.p_max, spec.an_enabled)
     n, m = _log_args(spec, W, Z)
     q = _objective(spec, W, Z, n, m)
@@ -321,7 +258,7 @@ def solve(
         check_residual = step_norm / delta <= tol * (1.0 + abs(q))
         residual = step_norm / delta
 
-    power = float(np.einsum("kii->", W).real + np.trace(Z).real)
+    power = total_power(W, Z)
     min_eig = float(np.linalg.eigvalsh(np.concatenate([W, Z[None]])).min())
     report = SolverReport(
         objective=q,

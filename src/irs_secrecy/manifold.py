@@ -19,7 +19,7 @@ import numpy as np
 
 from .channels import ChannelSet
 from .metrics import LN2
-from .solution import HistoryRecord, RunHistory, hermitize
+from .solution import HistoryRecord, RunHistory, hermitize, total_power
 
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 50
@@ -40,11 +40,6 @@ def tangency_residual(u: np.ndarray, v: np.ndarray) -> float:
 def from_phases(phases: np.ndarray) -> np.ndarray:
     """Phase vector u with u_m = exp(-1j * phi_m)."""
     return np.exp(-1j * np.asarray(phases, dtype=float))
-
-
-def phase_matrix(u: np.ndarray) -> np.ndarray:
-    """Diagonal reflection matrix diag(conj(u)) applied between L/g and H."""
-    return np.diag(np.conj(u))
 
 
 def aligned_start(ch: ChannelSet, k: int) -> np.ndarray:
@@ -194,7 +189,7 @@ def run_cg(
         u = u / np.abs(u)
 
     obj = PhaseObjective(W, Z, ch)
-    power = float(np.einsum("kii->", np.asarray(W)).real + np.trace(Z).real)
+    power = total_power(W, Z)
     f = obj.value(u)
     history = RunHistory()
     history.append(HistoryRecord(iteration=0, phase="manifold", f=f, power_used=power))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelSet
-from .solution import TransmitSolution, hermitize
+from .solution import TransmitSolution, hermitize, total_power
 
 LN2 = np.log(2.0)
 
@@ -99,7 +99,7 @@ def eve_capacity(k: int, sol: TransmitSolution, ch: ChannelSet) -> float:
 
 def power_used(sol: TransmitSolution) -> float:
     """Total radiated power sum_k tr(W_k) + tr(Z)."""
-    return float(np.einsum("kii->", sol.W).real + np.trace(sol.Z).real)
+    return total_power(sol.W, sol.Z)
 
 
 @dataclass

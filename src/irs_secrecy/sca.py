@@ -27,7 +27,7 @@ from .metrics import (
     objective_value,
     power_used,
 )
-from .solution import HistoryRecord, RunHistory, TransmitSolution, hermitize
+from .solution import HistoryRecord, RunHistory, TransmitSolution, hermitize, total_power
 
 logger = logging.getLogger(__name__)
 
@@ -115,10 +115,12 @@ def build_subproblem(
     *,
     an_enabled: bool = True,
 ) -> SubproblemSpec:
-    """Package the convex subproblem around the expansion point (W_i, Z_i)."""
+    """Package the convex subproblem around the expansion point (W_i, Z_i).
+
+    The point's feasibility is checked by :func:`convex_inner.solve`.
+    """
     W_i = hermitize(np.asarray(W_i, dtype=complex))
     Z_i = hermitize(np.asarray(Z_i, dtype=complex))
-    TransmitSolution(W=W_i, Z=Z_i, u=u).validate(p_max)
 
     # one pass over the channels: the same values as linearize_g1 + linearize_g2
     h, b, a_mats, b_mat = _channels_and_grams(u, ch)
@@ -191,7 +193,6 @@ def run_sca(
     inner_tol: float = 1e-6,
     inner_max_iters: int = 500,
     step_size: float = 1.0,
-    backend=None,
 ) -> tuple[TransmitSolution, RunHistory]:
     """Iterate linearize-and-solve until |f change| <= tol, tracking f.
 
@@ -214,7 +215,7 @@ def run_sca(
             iteration=0,
             phase="sca",
             f=f_prev,
-            power_used=float(np.einsum("kii->", W).real + np.trace(Z).real),
+            power_used=total_power(W, Z),
             rank_residual=max_rank_residual(W),
         )
     )
@@ -228,7 +229,6 @@ def run_sca(
             tol=inner_tol,
             max_iters=inner_max_iters,
             step_size=step_size,
-            backend=backend,
         )
         if report.status == SolverStatus.NUMERICAL_FAILURE:
             raise InnerSolverError(

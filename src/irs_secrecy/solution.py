@@ -15,6 +15,11 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
 
 
+def total_power(W: np.ndarray, Z: np.ndarray) -> float:
+    """Total radiated power sum_k tr(W_k) + tr(Z)."""
+    return float(np.einsum("kii->", W).real + np.trace(Z).real)
+
+
 @dataclass
 class TransmitSolution:
     """Beamforming covariances W_k, AN covariance Z and IRS phase vector u.
@@ -65,7 +70,7 @@ class TransmitSolution:
         if bad.size:
             name = "W" if bad[0] < self.W.shape[0] else "Z"
             raise ValueError(f"{name} is not PSD within tolerance")
-        power = float(np.einsum("kii->", self.W).real + np.trace(self.Z).real)
+        power = total_power(self.W, self.Z)
         if power > p_max * (1.0 + POWER_REL_TOL) + POWER_REL_TOL:
             raise ValueError(f"power {power} exceeds budget {p_max}")
         if np.max(np.abs(np.abs(self.u) - 1.0)) > UNIT_MODULUS_TOL:

@@ -43,9 +43,11 @@ def _parse_summary(csv_path) -> tuple[str, dict[str, list[tuple[float, float, fl
         parts = line.split(",")
         if len(parts) != len(SUMMARY_COLUMNS):
             raise CsvFormatError(f"line {i}: expected {len(SUMMARY_COLUMNS)} fields")
-        var, value, scheme, _count, mean, std = parts
+        var, value, scheme, count, mean, std = parts
         if variable is None:
             variable = var
+        if count == "0" and mean == std == "":
+            continue  # every run of this group failed: no point to draw
         try:
             x = float(value)
             m = float(mean)

@@ -161,88 +161,90 @@ def _run_one(scheme: str, ch: ChannelSet, cfg: ScenarioConfig, starts):
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
+def _run_row(
+    variable: str,
+    value,
+    label: str,
+    ri: int,
+    seed: int,
+    ch: ChannelSet,
+    run,
+    audit: list | None,
+) -> ResultRow:
+    """One row of results.csv; an exception in ``run()`` becomes an error row.
+
+    ``run()`` returns ``(solution, history)`` on the channels ``ch``. When
+    ``audit`` is a list, the run's history and breakdown, or the failure's
+    type and message, are appended to it.
+    """
+    t0 = time.perf_counter()
+    try:
+        sol, history = run()
+        breakdown = secrecy_rates(sol, ch)
+        outer = max(r.iteration for r in history.records)
+        status = "ok"
+    except Exception as exc:  # recorded, never aborts the sweep
+        breakdown = outer = None
+        status = f"error:{type(exc).__name__}"
+        error = f"{type(exc).__name__}: {exc}"
+    if audit is not None:
+        entry = {"sweep_value": value, "scheme": label, "realization": ri, "seed": seed}
+        if breakdown is None:
+            entry["error"] = error
+        else:
+            entry["history"] = history.to_rows()
+            entry["breakdown"] = json.loads(breakdown.to_json())
+        audit.append(entry)
+    return ResultRow(
+        sweep_variable=variable,
+        sweep_value=value,
+        scheme=label,
+        realization=ri,
+        seed=seed,
+        channel_hash=ch.content_hash(),
+        status=status,
+        sum_secrecy=None if breakdown is None else breakdown.sum_secrecy,
+        per_user_secrecy=None if breakdown is None else breakdown.secrecy,
+        outer_iterations=outer,
+        wall_time_ms=(time.perf_counter() - t0) * 1e3,
+    )
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Execute the sweep and write results/summary/timing CSV files."""
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
     rows: list[ResultRow] = []
-    audit_entries = []
+    audit = [] if spec.write_audit else None
     for vi, value in enumerate(spec.values):
         for ri in range(spec.num_realizations):
             seed = derive_seed("channel", spec.base_config.rng_seed, vi, ri)
             cfg = _config_for(spec, value, seed)
             ch = generate_scenario(cfg)
-            chash = ch.content_hash()
             starts = _start_portfolio(
                 spec.base_config.rng_seed, ch, spec.phase_init, vi, ri
             )
             for scheme in spec.schemes:
-                t0 = time.perf_counter()
-                try:
-                    sol, history = _run_one(scheme, ch, cfg, starts)
-                    breakdown = secrecy_rates(sol, ch)
-                    outer = max(r.iteration for r in history.records)
-                    row = ResultRow(
-                        sweep_variable=spec.variable,
-                        sweep_value=value,
-                        scheme=scheme,
-                        realization=ri,
-                        seed=seed,
-                        channel_hash=chash,
-                        status="ok",
-                        sum_secrecy=breakdown.sum_secrecy,
-                        per_user_secrecy=breakdown.secrecy,
-                        outer_iterations=outer,
-                        wall_time_ms=(time.perf_counter() - t0) * 1e3,
+                rows.append(
+                    _run_row(
+                        spec.variable,
+                        value,
+                        scheme,
+                        ri,
+                        seed,
+                        ch,
+                        lambda: _run_one(scheme, ch, cfg, starts),
+                        audit,
                     )
-                    if spec.write_audit:
-                        audit_entries.append(
-                            {
-                                "sweep_value": value,
-                                "scheme": scheme,
-                                "realization": ri,
-                                "seed": seed,
-                                "history": history.to_rows(),
-                                "breakdown": json.loads(breakdown.to_json()),
-                            }
-                        )
-                except Exception as exc:  # recorded, never aborts the sweep
-                    row = ResultRow(
-                        sweep_variable=spec.variable,
-                        sweep_value=value,
-                        scheme=scheme,
-                        realization=ri,
-                        seed=seed,
-                        channel_hash=chash,
-                        status=f"error:{type(exc).__name__}",
-                        sum_secrecy=None,
-                        per_user_secrecy=None,
-                        outer_iterations=None,
-                        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-                    )
-                rows.append(row)
-
-    summary_rows = _summarize(spec, rows)
-    results_path = out_dir / "results.csv"
-    summary_path = out_dir / "summary.csv"
-    timing_path = out_dir / "timing.csv"
-    _write_results(results_path, rows)
-    _write_summary(summary_path, summary_rows)
-    _write_timing(timing_path, rows)
-    audit_path = None
-    if spec.write_audit:
-        audit_path = out_dir / "audit.jsonl"
-        with open(audit_path, "w", encoding="utf-8", newline="\n") as fh:
-            for entry in audit_entries:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    return SweepResult(results_path, summary_path, timing_path, audit_path, rows, summary_rows)
+                )
+    summary_rows = _summarize(spec.variable, spec.values, spec.schemes, rows)
+    return _write_outputs(out_dir, rows, summary_rows, audit)
 
 
-def _summarize(spec: SweepSpec, rows: list[ResultRow]) -> list[dict]:
+def _summarize(variable: str, values, schemes, rows: list[ResultRow]) -> list[dict]:
     out = []
-    for value in spec.values:
-        for scheme in spec.schemes:
+    for value in values:
+        for scheme in schemes:
             vals = [
                 r.sum_secrecy
                 for r in rows
@@ -251,7 +253,7 @@ def _summarize(spec: SweepSpec, rows: list[ResultRow]) -> list[dict]:
             arr = np.asarray(vals, dtype=float)
             out.append(
                 {
-                    "sweep_variable": spec.variable,
+                    "sweep_variable": variable,
                     "sweep_value": value,
                     "scheme": scheme,
                     "num_realizations": len(vals),
@@ -262,69 +264,74 @@ def _summarize(spec: SweepSpec, rows: list[ResultRow]) -> list[dict]:
     return out
 
 
-def _write_results(path: Path, rows: list[ResultRow]) -> None:
+def _write_outputs(
+    out_dir: Path,
+    rows: list[ResultRow],
+    summary_rows: list[dict],
+    audit: list | None = None,
+) -> SweepResult:
+    """Write results.csv, summary.csv, timing.csv and, given entries, audit.jsonl."""
+    results_path = out_dir / "results.csv"
+    summary_path = out_dir / "summary.csv"
+    timing_path = out_dir / "timing.csv"
+    _write_csv(results_path, RESULTS_COLUMNS, map(_result_fields, rows))
+    _write_csv(summary_path, SUMMARY_COLUMNS, map(_summary_fields, summary_rows))
+    _write_csv(timing_path, TIMING_COLUMNS, map(_timing_fields, rows))
+    audit_path = None
+    if audit is not None:
+        audit_path = out_dir / "audit.jsonl"
+        with open(audit_path, "w", encoding="utf-8", newline="\n") as fh:
+            for entry in audit:
+                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    return SweepResult(results_path, summary_path, timing_path, audit_path, rows, summary_rows)
+
+
+def _write_csv(path: Path, columns: tuple, records) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(RESULTS_COLUMNS) + "\n")
-        for r in rows:
-            per_user = (
-                ";".join(_fmt(v) for v in r.per_user_secrecy)
-                if r.per_user_secrecy is not None
-                else ""
-            )
-            fh.write(
-                ",".join(
-                    [
-                        r.sweep_variable,
-                        _fmt(float(r.sweep_value)),
-                        r.scheme,
-                        str(r.realization),
-                        str(r.seed),
-                        r.channel_hash,
-                        r.status,
-                        _fmt(r.sum_secrecy),
-                        per_user,
-                        _fmt(r.outer_iterations),
-                    ]
-                )
-                + "\n"
-            )
+        fh.write(",".join(columns) + "\n")
+        for fields in records:
+            fh.write(",".join(fields) + "\n")
 
 
-def _write_summary(path: Path, summary_rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for s in summary_rows:
-            fh.write(
-                ",".join(
-                    [
-                        s["sweep_variable"],
-                        _fmt(float(s["sweep_value"])),
-                        s["scheme"],
-                        str(s["num_realizations"]),
-                        _fmt(s["mean_sum_secrecy"]),
-                        _fmt(s["std_sum_secrecy"]),
-                    ]
-                )
-                + "\n"
-            )
+def _result_fields(r: ResultRow) -> list[str]:
+    per_user = (
+        ";".join(_fmt(v) for v in r.per_user_secrecy)
+        if r.per_user_secrecy is not None
+        else ""
+    )
+    return [
+        r.sweep_variable,
+        _fmt(float(r.sweep_value)),
+        r.scheme,
+        str(r.realization),
+        str(r.seed),
+        r.channel_hash,
+        r.status,
+        _fmt(r.sum_secrecy),
+        per_user,
+        _fmt(r.outer_iterations),
+    ]
 
 
-def _write_timing(path: Path, rows: list[ResultRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(TIMING_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(
-                ",".join(
-                    [
-                        r.sweep_variable,
-                        _fmt(float(r.sweep_value)),
-                        r.scheme,
-                        str(r.realization),
-                        _fmt(r.wall_time_ms),
-                    ]
-                )
-                + "\n"
-            )
+def _summary_fields(s: dict) -> list[str]:
+    return [
+        s["sweep_variable"],
+        _fmt(float(s["sweep_value"])),
+        s["scheme"],
+        str(s["num_realizations"]),
+        _fmt(s["mean_sum_secrecy"]),
+        _fmt(s["std_sum_secrecy"]),
+    ]
+
+
+def _timing_fields(r: ResultRow) -> list[str]:
+    return [
+        r.sweep_variable,
+        _fmt(float(r.sweep_value)),
+        r.scheme,
+        str(r.realization),
+        _fmt(r.wall_time_ms),
+    ]
 
 
 def run_case_study(
@@ -345,6 +352,7 @@ def run_case_study(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     k_max = int(max(k_values))
+    labels = [label for label, _, _ in CASE_STUDY_CONFIGS]
 
     rows: list[ResultRow] = []
     for label, nt, m in CASE_STUDY_CONFIGS:
@@ -357,83 +365,28 @@ def run_case_study(
             ch_full = generate_scenario(cfg_full)
             for ki, k in enumerate(k_values):
                 cfg = replace(cfg_geom, num_users=int(k), rng_seed=seed)
-                ch = ChannelSet(
-                    H=ch_full.H,
-                    g=ch_full.g[: int(k)],
-                    l=ch_full.l,
-                    noise_user=ch_full.noise_user,
-                    noise_eve=ch_full.noise_eve,
+                ch = replace(ch_full, g=ch_full.g[: int(k)])
+                starts = _start_portfolio(base.rng_seed, ch, "ones", ki, ri)
+                rows.append(
+                    _run_row(
+                        "num_users",
+                        k,
+                        label,
+                        ri,
+                        seed,
+                        ch,
+                        lambda: _run_one("proposed", ch, cfg, starts),
+                        None,
+                    )
                 )
-                t0 = time.perf_counter()
-                try:
-                    starts = _start_portfolio(base.rng_seed, ch, "ones", ki, ri)
-                    sol, history = _best_of_starts(
-                        lambda u0: optimize(ch, cfg, u_init=u0), ch, starts
-                    )
-                    breakdown = secrecy_rates(sol, ch)
-                    rows.append(
-                        ResultRow(
-                            sweep_variable="num_users",
-                            sweep_value=k,
-                            scheme=label,
-                            realization=ri,
-                            seed=seed,
-                            channel_hash=ch.content_hash(),
-                            status="ok",
-                            sum_secrecy=breakdown.sum_secrecy,
-                            per_user_secrecy=breakdown.secrecy,
-                            outer_iterations=max(r.iteration for r in history.records),
-                            wall_time_ms=(time.perf_counter() - t0) * 1e3,
-                        )
-                    )
-                except Exception as exc:
-                    rows.append(
-                        ResultRow(
-                            sweep_variable="num_users",
-                            sweep_value=k,
-                            scheme=label,
-                            realization=ri,
-                            seed=seed,
-                            channel_hash=ch.content_hash(),
-                            status=f"error:{type(exc).__name__}",
-                            sum_secrecy=None,
-                            per_user_secrecy=None,
-                            outer_iterations=None,
-                            wall_time_ms=(time.perf_counter() - t0) * 1e3,
-                        )
-                    )
-
-    labels = [label for label, _, _ in CASE_STUDY_CONFIGS]
-    summary_rows = []
-    for k in k_values:
-        for label in labels:
-            vals = [
-                r.sum_secrecy
-                for r in rows
-                if r.sweep_value == k and r.scheme == label and r.status == "ok"
-            ]
-            arr = np.asarray(vals, dtype=float)
-            summary_rows.append(
-                {
-                    "sweep_variable": "num_users",
-                    "sweep_value": k,
-                    "scheme": label,
-                    "num_realizations": len(vals),
-                    "mean_sum_secrecy": float(arr.mean()) if len(vals) else None,
-                    "std_sum_secrecy": float(arr.std()) if len(vals) else None,
-                }
-            )
 
     # case-study rows are ordered by (value, scheme, realization) for determinism
     rows.sort(key=lambda r: (r.sweep_value, labels.index(r.scheme), r.realization))
-    results_path = out / "results.csv"
-    summary_path = out / "summary.csv"
-    timing_path = out / "timing.csv"
-    _write_results(results_path, rows)
-    _write_summary(summary_path, summary_rows)
-    _write_timing(timing_path, rows)
+    summary_rows = _summarize("num_users", k_values, labels, rows)
+    result = _write_outputs(out, rows, summary_rows)
+    # emit_plot rejects a summary in which every run failed
+    if any(s["num_realizations"] for s in summary_rows):
+        from .svgplot import emit_plot
 
-    from .svgplot import emit_plot
-
-    emit_plot(summary_path, out / "case_study.svg")
-    return SweepResult(results_path, summary_path, timing_path, None, rows, summary_rows)
+        emit_plot(result.summary_path, out / "case_study.svg")
+    return result

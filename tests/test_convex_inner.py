@@ -6,12 +6,9 @@ from irs_secrecy import convex_inner
 from irs_secrecy.channels import generate_scenario
 from irs_secrecy.config import ScenarioConfig, dbm_to_watts
 from irs_secrecy.convex_inner import (
-    InnerSolverError,
-    SolverReport,
     SolverStatus,
     SubproblemSpec,
     _project_exact,
-    feasibility_map,
     solve,
     subproblem_gradient,
     subproblem_objective,
@@ -127,19 +124,18 @@ class TestProjectExactBudget:
             TransmitSolution(W=W, Z=Z, u=np.ones(1)).validate(p_max)
 
 
-class TestFeasibilityMap:
+class TestProjectExact:
     def test_feasible_input_unchanged(self, rng):
         ch = random_channelset(rng)
         sol = random_solution(rng, ch, power=2.0)
-        out = feasibility_map(sol, p_max=5.0)
-        assert np.allclose(out.W, sol.W, atol=1e-12)
-        assert np.allclose(out.Z, sol.Z, atol=1e-12)
+        W, Z = _project_exact(sol.W, sol.Z, 5.0, True)
+        assert np.allclose(W, sol.W, atol=1e-12)
+        assert np.allclose(Z, sol.Z, atol=1e-12)
 
     def test_eigenvalue_clip(self):
         w = np.diag([2.0, -1.0]).astype(complex)
-        sol = TransmitSolution(W=w[None], Z=np.zeros((2, 2)), u=np.ones(2))
-        out = feasibility_map(sol, p_max=100.0)
-        vals = np.linalg.eigvalsh(out.W[0])
+        W, _ = _project_exact(w[None], np.zeros((2, 2), dtype=complex), 100.0, True)
+        vals = np.linalg.eigvalsh(W[0])
         assert vals == pytest.approx([0.0, 2.0], abs=1e-12)
 
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
@@ -154,21 +150,21 @@ class TestFeasibilityMap:
             for _ in range(k)
         ])
         Z = hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        out = feasibility_map(TransmitSolution(W=W, Z=Z, u=np.ones(2)), p_max)
-        power = np.einsum("kii->", out.W).real + np.trace(out.Z).real
+        W, Z = _project_exact(W, Z, p_max, True)
+        power = np.einsum("kii->", W).real + np.trace(Z).real
         assert power <= p_max * (1 + 1e-9) + 1e-12
-        assert np.linalg.eigvalsh(out.W).min() >= -1e-12
-        assert np.linalg.eigvalsh(out.Z).min() >= -1e-12
+        assert np.linalg.eigvalsh(W).min() >= -1e-12
+        assert np.linalg.eigvalsh(Z).min() >= -1e-12
 
     def test_idempotent(self, rng):
         n = 3
         W = np.stack([hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
                       for _ in range(2)])
         Z = hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        once = feasibility_map(TransmitSolution(W=W, Z=Z, u=np.ones(2)), 2.0)
-        twice = feasibility_map(once, 2.0)
-        assert np.allclose(twice.W, once.W, atol=1e-12)
-        assert np.allclose(twice.Z, once.Z, atol=1e-12)
+        once = _project_exact(W, Z, 2.0, True)
+        twice = _project_exact(*once, 2.0, True)
+        assert np.allclose(twice[0], once[0], atol=1e-12)
+        assert np.allclose(twice[1], once[1], atol=1e-12)
 
 
 class TestSubproblemGradient:
@@ -380,45 +376,3 @@ class TestStepSize:
         assert carried <= reset
         # both runs stop at the same outer tolerance; measured gaps <= 2e-5
         assert abs(carried_rate - reset_rate) <= 1e-4 * abs(reset_rate)
-
-
-class TestBackendHook:
-    def test_backend_output_validated(self, rng):
-        spec, start, _, u = random_spec(rng)
-
-        def good_backend(spec_in, start_in):
-            return solve(spec_in, start_in)  # delegate to the built-in method
-
-        sol, report = solve(spec, start, backend=good_backend)
-        assert report.status == SolverStatus.CONVERGED
-
-        def ascending_backend(spec_in, start_in):
-            worse = TransmitSolution(
-                W=start_in.W * 0.0, Z=start_in.Z * 0.0, u=start_in.u
-            )
-            report = SolverReport(
-                objective=0.0, iterations=1, final_step_norm=0.0, residual=0.0,
-                power_slack=spec_in.p_max, min_eigenvalue=0.0,
-                status=SolverStatus.CONVERGED,
-            )
-            return worse, report
-
-        # turning everything off increases this subproblem objective
-        with pytest.raises(InnerSolverError, match="ascended"):
-            solve(spec, start, backend=ascending_backend)
-
-    def test_backend_infeasible_rejected(self, rng):
-        spec, start, _, u = random_spec(rng, p_max=2.0)
-
-        def infeasible_backend(spec_in, start_in):
-            big = TransmitSolution(
-                W=start_in.W * 50.0, Z=start_in.Z * 50.0, u=start_in.u
-            )
-            report = SolverReport(
-                objective=-1.0, iterations=1, final_step_norm=0.0, residual=0.0,
-                power_slack=-1.0, min_eigenvalue=0.0, status=SolverStatus.CONVERGED,
-            )
-            return big, report
-
-        with pytest.raises(ValueError):
-            solve(spec, start, backend=infeasible_backend)

@@ -174,15 +174,15 @@ class TestBuildSubproblem:
         assert spec.lin_w.shape == (3, 4, 4)
         assert spec.b_mat.shape == (4, 4)
 
-    def test_infeasible_expansion_point_rejected(self, rng):
-        ch = random_channelset(rng)
-        u = random_unit_modulus(rng, ch.num_irs_elements)
-        W, Z = feasible_point(rng, ch, power=5.0)
-        with pytest.raises(ValueError):
-            build_subproblem(W, Z, u, ch, p_max=1.0)
-
 
 class TestRunSca:
+    def test_over_budget_start_rejected(self, rng):
+        ch = random_channelset(rng)
+        u = random_unit_modulus(rng, ch.num_irs_elements)
+        start = random_solution(rng, ch, power=5.0)
+        with pytest.raises(ValueError, match="infeasible start"):
+            run_sca(u, ch, p_max=1.0, start=start)
+
     def test_stationary_start_stops_quickly(self, rng):
         ch = random_channelset(rng, num_users=2)
         u = random_unit_modulus(rng, ch.num_irs_elements)

@@ -41,6 +41,13 @@ class TestEmitPlot:
         b = emit_plot(path, tmp_path / "b.svg").read_bytes()
         assert hashlib.sha256(a).hexdigest() == hashlib.sha256(b).hexdigest()
 
+    def test_group_without_successful_run_skipped(self, tmp_path):
+        # a sweep writes count 0 and empty mean/std when every run of a group failed
+        plain = emit_plot(write_sample(tmp_path), tmp_path / "a.svg").read_bytes()
+        failed = SAMPLE + "p_max_dbm,50,proposed,0,,\n"
+        skipped = emit_plot(write_sample(tmp_path, failed), tmp_path / "b.svg").read_bytes()
+        assert skipped == plain
+
     def test_empty_data_errors_without_output(self, tmp_path):
         path = write_sample(tmp_path, HEADER + "\n")
         out = tmp_path / "plot.svg"

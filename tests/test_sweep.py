@@ -117,12 +117,17 @@ class TestRunSweep:
             sweep_mod.__dict__, "baseline_random_phase", boom
         )
         spec = tiny_spec(tmp_path, schemes=("baseline1",), values=(10.0,),
-                         num_realizations=1)
+                         num_realizations=1, write_audit=True)
         result = run_sweep(spec)
         assert result.rows[0].status == "error:RuntimeError"
         assert result.rows[0].sum_secrecy is None
         text = result.results_path.read_text()
         assert "error:RuntimeError" in text
+        entries = [json.loads(line) for line in result.audit_path.read_text().splitlines()]
+        assert len(entries) == 1
+        assert entries[0]["error"] == "RuntimeError: synthetic failure"
+        assert entries[0]["scheme"] == "baseline1"
+        assert "history" not in entries[0]
 
 
 class TestCaseStudy:
@@ -136,6 +141,24 @@ class TestCaseStudy:
         lines = result.summary_path.read_text().splitlines()
         assert lines[0] == ",".join(SUMMARY_COLUMNS)
         assert (tmp_path / "case" / "case_study.svg").exists()
+
+    def test_failures_recorded_not_raised(self, tmp_path, monkeypatch):
+        import irs_secrecy.sweep as sweep_mod
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setitem(sweep_mod.__dict__, "optimize", boom)
+        result = run_case_study(
+            TINY, str(tmp_path / "case"), num_realizations=1, k_values=(1, 2)
+        )
+        assert len(result.rows) == 3 * 2
+        assert all(row.status == "error:RuntimeError" for row in result.rows)
+        assert all(row.sum_secrecy is None for row in result.rows)
+        summary = result.summary_path.read_text().splitlines()[1:]
+        assert len(summary) == 3 * 2
+        assert all(line.split(",")[3] == "0" for line in summary)
+        assert not (tmp_path / "case" / "case_study.svg").exists()  # nothing to plot
 
     def test_channels_nested_across_user_counts(self, tmp_path):
         # same realization at different K shares the underlying draw, so the
