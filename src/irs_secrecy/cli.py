@@ -49,13 +49,14 @@ def _cmd_sweep(args) -> int:
         write_audit=args.audit,
     )
     result = run_sweep(spec)
-    from .svgplot import emit_plot
-
-    svg = emit_plot(result.summary_path)
     ok = sum(1 for r in result.rows if r.status == "ok")
     print(f"wrote {result.results_path} ({ok}/{len(result.rows)} runs ok)")
     print(f"wrote {result.summary_path}")
-    print(f"wrote {svg}")
+    # emit_plot rejects a summary in which every run failed
+    if ok:
+        from .svgplot import emit_plot
+
+        print(f"wrote {emit_plot(result.summary_path)}")
     failed = len(result.rows) - ok
     if failed:
         print(f"warning: {failed} runs failed; see status column", file=sys.stderr)

@@ -6,10 +6,17 @@ transport and retraction are all element-wise.
 
 Gradient convention (Wirtinger): for a real-valued f of a complex vector,
 the ambient gradient used here is grad = 2 * df/d(conj u), equivalently
-df/dRe(u) + 1j * df/dIm(u). For a term log2(u^H A u + c) with Hermitian A
-this gives (2/ln2) * A u / (u^H A u + c). The objective for fixed (W, Z) is
-a signed sum of such terms, so its gradient is assembled per term with the
-per-term log argument in the denominator.
+df/dRe(u) + 1j * df/dIm(u). The objective for fixed (W, Z) is a signed sum
+f = sum_t w_t log2(u^H C_t X_t C_t^H u + c_t) of T = 3K + 1 terms, where
+C_t (M x N_T) is one of the cascades G_k or L, X_t (N_T x N_T) is Hermitian
+(sum_r W_r + Z, Z, sum_r W_r + Z - W_k or W_k + Z) and c_t a noise power.
+Term t contributes w_t times
+
+    (2/ln2) * C_t X_t C_t^H u / (u^H C_t X_t C_t^H u + c_t)
+
+to the gradient. Both are evaluated in this factored form, through the
+effective channels h_t = C_t^H u, and never through the M x M matrices
+C_t X_t C_t^H.
 """
 from __future__ import annotations
 
@@ -72,57 +79,58 @@ def default_phase_init(ch: ChannelSet) -> np.ndarray:
 
 
 class PhaseObjective:
-    """f(u) = F1 + F2 - G1 - G2 for fixed covariances, with batched evaluation."""
+    """f(u) = F1 + F2 - G1 - G2 for fixed covariances, with batched evaluation.
+
+    Term t of the signed sum is log2(h_t^H X_t h_t + c_t) with the effective
+    channel h_t = C_t^H u, so u enters only through one M x (T N_T) link
+    matrix and each evaluation is O(T M N_T + T N_T^2).
+    """
 
     def __init__(self, W: np.ndarray, Z: np.ndarray, ch: ChannelSet):
         W = hermitize(np.asarray(W, dtype=complex))
         Z = hermitize(np.asarray(Z, dtype=complex))
         k = ch.num_users
-        g = ch.G  # (K, M, N)
-        l_eff = ch.L  # (M, N)
-        sum_w = W.sum(axis=0)
-
-        p1 = np.einsum("kmn,np,kqp->kmq", g, sum_w + Z, np.conj(g))
-        own = np.einsum("kmn,knp,kqp->kmq", g, W, np.conj(g))
-        mats = [
-            p1,                                                       # F1 terms
-            (l_eff @ Z @ np.conj(l_eff).T)[None, :, :],               # F2 term
-            p1 - own,                                                 # G1 terms
-            np.einsum("mn,knp,qp->kmq", l_eff, W + Z[None], np.conj(l_eff)),  # G2
-        ]
-        self.mats = hermitize(np.concatenate(mats, axis=0))
-        self.weights = np.concatenate(
-            [-np.ones(k), [-float(k)], np.ones(k), np.ones(k)]
-        )
-        self.consts = np.concatenate(
-            [
-                np.full(k, ch.noise_user),
-                [ch.noise_eve],
-                np.full(k, ch.noise_user),
-                np.full(k, ch.noise_eve),
-            ]
+        total = W.sum(axis=0) + Z
+        # term order F1 (K), F2 (1), G1 (K), G2 (K): links C_t and kernels X_t
+        links = np.concatenate(
+            [ch.G, ch.L[None], ch.G, np.broadcast_to(ch.L, ch.G.shape)]
+        )  # (T, M, N)
+        self.kernels = np.concatenate(
+            [np.broadcast_to(total, W.shape), Z[None], total - W, W + Z]
+        )  # (T, N, N)
+        t, m, n = links.shape
+        self.link = links.transpose(1, 0, 2).reshape(m, t * n)
+        self.link_h = np.ascontiguousarray(np.conj(self.link).T)
+        self.segments = np.repeat(np.eye(t), n, axis=0)  # (T N, T) 0/1
+        counts = [k, 1, k, k]
+        self.weights = np.repeat([-1.0, -float(k), 1.0, 1.0], counts)
+        self.consts = np.repeat(
+            [ch.noise_user, ch.noise_eve, ch.noise_user, ch.noise_eve], counts
         )
 
-    def _log_args(self, u: np.ndarray) -> np.ndarray:
-        quad = np.einsum("m,tmn,n->t", np.conj(u), self.mats, u).real
-        return quad + self.consts
+    def _log_args(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-term log arguments and the stacked X_t h_t they came from."""
+        h = self.link_h @ u
+        y = np.matmul(self.kernels, h.reshape(self.kernels.shape[:2] + (1,))).ravel()
+        vals = (np.conj(h) * y).real @ self.segments + self.consts
+        if (vals <= 0).any():
+            raise ValueError("non-positive log argument in phase objective")
+        return vals, y
 
     def value(self, u: np.ndarray) -> float:
-        vals = self._log_args(u)
-        if np.any(vals <= 0):
-            raise ValueError("non-positive log argument in phase objective")
+        vals, _ = self._log_args(u)
         return float(self.weights @ np.log2(vals))
 
     def value_batch(self, U: np.ndarray) -> np.ndarray:
-        quad = np.einsum("bm,tmn,bn->bt", np.conj(U), self.mats, U).real
+        h = U @ self.link_h.T
+        y = np.matmul(self.kernels, h.reshape(h.shape[:1] + self.kernels.shape[:2] + (1,)))
+        quad = (np.conj(h) * y.reshape(h.shape)).real @ self.segments
         return np.log2(quad + self.consts) @ self.weights
 
     def euclidean_grad(self, u: np.ndarray) -> np.ndarray:
-        vals = self._log_args(u)
-        if np.any(vals <= 0):
-            raise ValueError("non-positive log argument in phase objective")
-        coef = self.weights / vals
-        return (2.0 / LN2) * np.einsum("t,tmn,n->m", coef, self.mats, u)
+        vals, y = self._log_args(u)
+        coef = self.segments @ (self.weights / vals)
+        return (2.0 / LN2) * (self.link @ (coef * y))
 
 
 def euclidean_gradient(u: np.ndarray, W: np.ndarray, Z: np.ndarray, ch: ChannelSet) -> np.ndarray:
@@ -150,7 +158,7 @@ def retract(u: np.ndarray, delta: float, mu: np.ndarray) -> np.ndarray:
         return np.array(u, dtype=complex, copy=True)
     moved = u + delta * mu
     mags = np.abs(moved)
-    if np.any(mags == 0.0):
+    if (mags == 0.0).any():
         raise RetractionError("retraction hit a zero element; halve the step")
     return moved / mags
 

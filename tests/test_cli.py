@@ -60,6 +60,26 @@ class TestSweepCommand:
         assert code != 0
         assert "error:" in capsys.readouterr().err
 
+    def test_all_runs_failed_warns_without_plot(self, tmp_path, capsys, monkeypatch):
+        import irs_secrecy.sweep as sweep_mod
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("solver exploded")
+
+        monkeypatch.setattr(sweep_mod, "baseline_random_phase", boom)
+        cfg = tiny_config_file(tmp_path)
+        code = main([
+            "sweep", "--config", str(cfg), "--values", "10",
+            "--schemes", "baseline1", "--realizations", "1",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "warning: 1 runs failed" in err
+        assert "error:" not in err
+        assert (tmp_path / "out" / "results.csv").exists()
+        assert not (tmp_path / "out" / "summary.svg").exists()
+
 
 class TestCaseStudyCommand:
     def test_case_study_small(self, tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from irs_secrecy.manifold import (
     PhaseObjective,
@@ -17,6 +17,8 @@ from irs_secrecy.manifold import (
     tangent_project,
     vector_transport,
 )
+from irs_secrecy.metrics import LN2, objective_value
+from irs_secrecy.solution import hermitize
 from tests.conftest import random_channelset, random_solution, random_unit_modulus
 
 
@@ -172,6 +174,84 @@ class TestEuclideanGradient:
             f0 = obj.value(sol.u)
             f1 = obj.value(retract(sol.u, 1e-6 / np.linalg.norm(g), -g))
             assert f1 < f0
+
+
+def dense_reference(W, Z, ch, u):
+    """The phase objective through the M x M term matrices C_t X_t C_t^H.
+
+    Returns f, the gradient, and the scales the comparisons are relative to:
+    sum_t |w_t| / ln2, the size of a unit relative error in every log
+    argument, and the summed norms of the gradient's terms. Plain |f| is no
+    scale, because the signed sum can cancel (f = 3e-7 seen at 2e5 W).
+    """
+    W, Z = hermitize(W), hermitize(Z)
+    g, l_eff, k = ch.G, ch.L, ch.num_users
+    p1 = np.einsum("kmn,np,kqp->kmq", g, W.sum(axis=0) + Z, np.conj(g))
+    own = np.einsum("kmn,knp,kqp->kmq", g, W, np.conj(g))
+    mats = np.concatenate([
+        p1,
+        (l_eff @ Z @ np.conj(l_eff).T)[None],
+        p1 - own,
+        np.einsum("mn,knp,qp->kmq", l_eff, W + Z[None], np.conj(l_eff)),
+    ])
+    weights = np.concatenate([-np.ones(k), [-float(k)], np.ones(k), np.ones(k)])
+    consts = np.concatenate([
+        np.full(k, ch.noise_user), [ch.noise_eve],
+        np.full(k, ch.noise_user), np.full(k, ch.noise_eve),
+    ])
+    vals = np.einsum("m,tmn,n->t", np.conj(u), mats, u).real + consts
+    terms = (2.0 / LN2) * (weights / vals)[:, None] * np.einsum("tmn,n->tm", mats, u)
+    f_scale = np.abs(weights).sum() / LN2
+    return weights @ np.log2(vals), terms.sum(axis=0), f_scale, np.linalg.norm(terms, axis=1).sum()
+
+
+class TestFactoredObjective:
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           k=st.integers(min_value=1, max_value=4),
+           m=st.integers(min_value=1, max_value=8),
+           n=st.integers(min_value=1, max_value=6),
+           log_power=st.floats(min_value=-6.0, max_value=6.0))
+    @example(seed=1, k=2, m=3, n=6, log_power=0.0)   # N_T > M
+    @example(seed=2, k=3, m=1, n=2, log_power=3.0)   # M = 1
+    @example(seed=3, k=4, m=5, n=2, log_power=-3.0)  # K > N_T
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_reference(self, seed, k, m, n, log_power):
+        rng = np.random.default_rng(seed)
+        ch = random_channelset(rng, num_users=k, num_irs=m, num_bs=n)
+        sol = random_solution(rng, ch, power=10.0 ** log_power)
+        obj = PhaseObjective(sol.W, sol.Z, ch)
+        U = np.stack([sol.u, random_unit_modulus(rng, m), random_unit_modulus(rng, m)])
+        rows = obj.value_batch(U)
+        for b, u in enumerate(U):
+            f_ref, g_ref, f_scale, g_scale = dense_reference(sol.W, sol.Z, ch, u)
+            assert abs(obj.value(u) - f_ref) <= 1e-12 * f_scale
+            assert abs(rows[b] - f_ref) <= 1e-12 * f_scale
+            assert np.linalg.norm(obj.euclidean_grad(u) - g_ref) <= 1e-12 * g_scale
+
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           k=st.integers(min_value=1, max_value=4),
+           m=st.integers(min_value=1, max_value=8),
+           n=st.integers(min_value=1, max_value=6),
+           log_power=st.floats(min_value=-6.0, max_value=6.0))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_metrics_objective(self, seed, k, m, n, log_power):
+        # the phase objective and metrics compute the same log arguments apart
+        rng = np.random.default_rng(seed)
+        ch = random_channelset(rng, num_users=k, num_irs=m, num_bs=n)
+        sol = random_solution(rng, ch, power=10.0 ** log_power)
+        f_metrics = objective_value(sol.W, sol.Z, sol.u, ch)
+        f_scale = (4 * k) / LN2  # sum_t |w_t| / ln2, as in dense_reference
+        assert abs(PhaseObjective(sol.W, sol.Z, ch).value(sol.u) - f_metrics) <= 1e-12 * f_scale
+
+    def test_non_positive_log_argument_rejected(self, rng):
+        ch = random_channelset(rng, num_users=1)
+        sol = random_solution(rng, ch)
+        # negative "covariances" drive every quadratic form below -noise
+        obj = PhaseObjective(-1e6 * np.ones_like(sol.W), -1e6 * np.eye(ch.num_bs_antennas), ch)
+        with pytest.raises(ValueError, match="non-positive log argument"):
+            obj.value(sol.u)
+        with pytest.raises(ValueError, match="non-positive log argument"):
+            obj.euclidean_grad(sol.u)
 
 
 class TestArmijoDescent:
