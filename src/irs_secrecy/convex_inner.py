@@ -10,7 +10,8 @@ machinery.
 The constraint set is spectral, which makes the exact Euclidean projection
 cheap (eigenvalue clip plus a water-filling shift when the power budget
 binds); :func:`solve` uses it so that the gradient mapping vanishes exactly
-at KKT points.
+at KKT points, and takes Barzilai-Borwein trial steps inside the monotone
+Armijo search (spectral projected gradient).
 """
 from __future__ import annotations
 
@@ -82,7 +83,7 @@ class SolverReport:
     power_slack: float
     min_eigenvalue: float
     status: SolverStatus
-    step_size: float = 1.0  # backtracking step in use at exit
+    step_size: float = 1.0  # first trial step of the next iteration at exit
 
 
 def _log_args(spec: SubproblemSpec, W: np.ndarray, Z: np.ndarray):
@@ -171,13 +172,25 @@ def solve(
 ) -> tuple[TransmitSolution, SolverReport]:
     """Minimize the subproblem from a feasible start; never ascends.
 
+    Spectral projected gradient (Birgin, Martinez & Raydan, SIAM J. Optim.
+    2000) with a monotone Armijo search: each iteration tries the step
+    ``delta`` first and halves it until ``q(X+) <= q(X) - (c/delta)||s||^2``.
+    After an accepted step s = X+ - X with gradient change
+    y = grad(X+) - grad(X), the next first trial is the Barzilai-Borwein
+    step <s, s> / <s, y> (Barzilai & Borwein, IMA J. Numer. Anal. 1988),
+    clamped to [1e-8, 1e8]; it is 1e8 when <s, y> <= 0. The floor is far
+    below a unit step because on unit-scale channels the curvature puts
+    almost every BB step below 1. The gradient of each accepted point is
+    computed once and serves both <s, y> and the next iteration. The start
+    is not projected again: ``start.validate`` has accepted it.
+
     Stops when the unit-step gradient-mapping norm ||X - P(X - grad)||
     drops below ``tol * (1 + |objective|)``. ``step_size`` is the first
-    trial step of the backtracking search, clamped to [1, 1e8]: the
+    trial step of the first iteration, clamped to [1, 1e8]: the
     displacement ||X - P(X - t grad)|| grows with t, so only from t >= 1
     does a displacement at float noise prove stationarity, and a step that
     backtracking collapsed to ~1e-16 at the end of one solve cannot freeze
-    the next. The step in use at exit is reported as
+    the next. The next trial step at exit is reported as
     ``SolverReport.step_size`` so that a caller solving a sequence of
     similar subproblems can start the next one from it.
     """
@@ -185,11 +198,11 @@ def solve(
         start.validate(spec.p_max)
     except ValueError as exc:
         raise ValueError(f"infeasible start: {exc}") from None
-    W0 = hermitize(np.asarray(start.W, dtype=complex))
-    Z0 = hermitize(np.asarray(start.Z, dtype=complex))
-    W, Z = _project_exact(W0, Z0, spec.p_max, spec.an_enabled)
+    W = hermitize(np.asarray(start.W, dtype=complex))
+    Z = hermitize(np.asarray(start.Z, dtype=complex))
     n, m = _log_args(spec, W, Z)
     q = _objective(spec, W, Z, n, m)
+    g_w, g_z = _gradient(spec, n, m)
     delta = min(max(step_size, 1.0), 1e8)
     step_norm = 0.0
     residual = np.inf
@@ -197,32 +210,30 @@ def solve(
     iterations = 0
     check_residual = True  # evaluate the reference residual on entry
 
-    def _dist_sq(Wa, Za, Wb, Zb):
-        dW = Wa - Wb
-        dZ = Za - Zb
-        return float(np.vdot(dW, dW).real + np.vdot(dZ, dZ).real)
+    def _sq_norm(a_w, a_z):
+        return float(np.vdot(a_w, a_w).real + np.vdot(a_z, a_z).real)
 
     def _unit_step_residual(g_w, g_z):
         # norm of the gradient mapping at unit reference step; zero exactly
         # at KKT points of the subproblem
         Wr, Zr = _project_exact(W - g_w, Z - g_z, spec.p_max, spec.an_enabled)
-        return float(np.sqrt(_dist_sq(Wr, Zr, W, Z)))
+        return float(np.sqrt(_sq_norm(Wr - W, Zr - Z)))
 
     for iterations in range(1, max_iters + 1):
-        g_w, g_z = _gradient(spec, n, m)
         if check_residual:
             residual = _unit_step_residual(g_w, g_z)
             if residual <= tol * (1.0 + abs(q)):
                 status = SolverStatus.CONVERGED
                 break
-        x_norm = float(np.sqrt(np.vdot(W, W).real + np.vdot(Z, Z).real))
+        x_norm = float(np.sqrt(_sq_norm(W, Z)))
         accepted = False
         stalled = False
-        for trial in range(MAX_BACKTRACKS):
+        for _ in range(MAX_BACKTRACKS):
             Wt, Zt = _project_exact(
                 W - delta * g_w, Z - delta * g_z, spec.p_max, spec.an_enabled
             )
-            step_sq = _dist_sq(Wt, Zt, W, Z)
+            s_w, s_z = Wt - W, Zt - Z
+            step_sq = _sq_norm(s_w, s_z)
             step = np.sqrt(step_sq)
             if step <= 1e-13 * (1.0 + x_norm):
                 # below eigendecomposition noise: the map cannot move the point
@@ -247,16 +258,15 @@ def solve(
                 else SolverStatus.NUMERICAL_FAILURE
             )
             break
-        step_norm = float(np.sqrt(step_sq))
-        W, Z, q, n, m = Wt, Zt, qt, nt, mt
-        if trial == 0:
-            # grow only after a first-trial acceptance: doubling the step that
-            # just needed a backtrack would be rejected again next iteration
-            delta = min(delta * 2.0, 1e8)
+        step_norm = float(step)
         # a small accepted displacement is only a hint: confirm with the
         # unit-step residual next round (a huge step size can fake smallness)
-        check_residual = step_norm / delta <= tol * (1.0 + abs(q))
         residual = step_norm / delta
+        check_residual = residual <= tol * (1.0 + abs(qt))
+        gt_w, gt_z = _gradient(spec, nt, mt)
+        sy = float(np.vdot(s_w, gt_w - g_w).real + np.vdot(s_z, gt_z - g_z).real)
+        delta = min(max(step_sq / sy, 1e-8), 1e8) if sy > 0.0 else 1e8
+        W, Z, q, g_w, g_z = Wt, Zt, qt, gt_w, gt_z
 
     power = total_power(W, Z)
     min_eig = float(np.linalg.eigvalsh(np.concatenate([W, Z[None]])).min())
