@@ -7,7 +7,9 @@ from irs_secrecy.config import ScenarioConfig
 from irs_secrecy.sweep import (
     RESULTS_COLUMNS,
     SUMMARY_COLUMNS,
+    ResultRow,
     SweepSpec,
+    _write_outputs,
     run_case_study,
     run_sweep,
 )
@@ -128,6 +130,59 @@ class TestRunSweep:
         assert entries[0]["error"] == "RuntimeError: synthetic failure"
         assert entries[0]["scheme"] == "baseline1"
         assert "history" not in entries[0]
+
+
+def hand_rows(sweep_value):
+    ok = ResultRow(
+        sweep_variable="num_users", sweep_value=sweep_value, scheme="proposed",
+        realization=3, seed=2 ** 64 - 1, channel_hash="c0ffee", status="ok",
+        sum_secrecy=1.2345678901234567, per_user_secrecy=[0.5, 2.0 / 3.0, 0.0],
+        outer_iterations=7, wall_time_ms=12.5,
+    )
+    err = ResultRow(
+        sweep_variable="num_users", sweep_value=sweep_value, scheme="baseline1",
+        realization=3, seed=17, channel_hash="c0ffee", status="error:RuntimeError",
+        sum_secrecy=None, per_user_secrecy=None, outer_iterations=None,
+        wall_time_ms=0.25,
+    )
+    summary = [
+        {"sweep_variable": "num_users", "sweep_value": sweep_value,
+         "scheme": "proposed", "num_realizations": 1,
+         "mean_sum_secrecy": 1.2345678901234567, "std_sum_secrecy": 0.0},
+        {"sweep_variable": "num_users", "sweep_value": sweep_value,
+         "scheme": "baseline1", "num_realizations": 0,
+         "mean_sum_secrecy": None, "std_sum_secrecy": None},
+    ]
+    return [ok, err], summary
+
+
+class TestCsvLines:
+    def test_ok_and_error_rows(self, tmp_path):
+        rows, summary = hand_rows(2.0)
+        result = _write_outputs(tmp_path, rows, summary)
+        assert result.results_path.read_text().splitlines()[1:] == [
+            "num_users,2,proposed,3,18446744073709551615,c0ffee,ok,"
+            "1.23456789012,0.5;0.666666666667;0,7",
+            "num_users,2,baseline1,3,17,c0ffee,error:RuntimeError,,,",
+        ]
+        assert result.timing_path.read_text().splitlines() == [
+            "sweep_variable,sweep_value,scheme,realization,wall_time_ms",
+            "num_users,2,proposed,3,12.5",
+            "num_users,2,baseline1,3,0.25",
+        ]
+        assert result.summary_path.read_text().splitlines()[1:] == [
+            "num_users,2,proposed,1,1.23456789012,0",
+            "num_users,2,baseline1,0,,",
+        ]
+
+    def test_integer_sweep_value_renders_like_float(self, tmp_path):
+        # num_users sweeps carry int values, power sweeps floats
+        (tmp_path / "f").mkdir()
+        (tmp_path / "i").mkdir()
+        as_float = _write_outputs(tmp_path / "f", *hand_rows(2.0))
+        as_int = _write_outputs(tmp_path / "i", *hand_rows(2))
+        for name in ("results_path", "summary_path", "timing_path"):
+            assert getattr(as_int, name).read_bytes() == getattr(as_float, name).read_bytes()
 
 
 class TestCaseStudy:
