@@ -14,7 +14,6 @@ path-loss gain of its link.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -108,37 +107,6 @@ class ChannelSet:
         h.update(repr((self.noise_user, self.noise_eve)).encode())
         return h.hexdigest()
 
-    def to_json(self) -> str:
-        def cplx(a):
-            a = np.asarray(a)
-            return {"real": a.real.tolist(), "imag": a.imag.tolist()}
-
-        return json.dumps(
-            {
-                "H": cplx(self.H),
-                "g": cplx(self.g),
-                "l": cplx(self.l),
-                "noise_user": self.noise_user,
-                "noise_eve": self.noise_eve,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChannelSet":
-        data = json.loads(text)
-
-        def arr(d):
-            return np.asarray(d["real"], dtype=float) + 1j * np.asarray(d["imag"], dtype=float)
-
-        return cls(
-            H=arr(data["H"]),
-            g=arr(data["g"]),
-            l=arr(data["l"]),
-            noise_user=float(data["noise_user"]),
-            noise_eve=float(data["noise_eve"]),
-        )
-
 
 def _complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
     scale = np.sqrt(variance / 2.0)
@@ -176,36 +144,19 @@ def generate_scenario(config: ScenarioConfig) -> ChannelSet:
     return ChannelSet(H=H, g=g, l=l, noise_user=config.noise_user, noise_eve=config.noise_eve)
 
 
-@dataclass(frozen=True)
-class NormalizationRecord:
-    """Amplitude scales applied to the channels and the original noise powers."""
-
-    user_amp_scale: float
-    eve_amp_scale: float
-    raw_noise_user: float
-    raw_noise_eve: float
-
-
-def normalize(channels: ChannelSet) -> tuple[ChannelSet, NormalizationRecord]:
+def normalize(channels: ChannelSet) -> ChannelSet:
     """Rescale channels so both noise powers become 1 W.
 
     Scaling g by 1/sqrt(noise_user) and l by 1/sqrt(noise_eve) divides every
     quadratic channel term by the matching noise power, so all SINRs, rates
     and secrecy rates are unchanged. H is left alone.
     """
-    record = NormalizationRecord(
-        user_amp_scale=1.0 / np.sqrt(channels.noise_user),
-        eve_amp_scale=1.0 / np.sqrt(channels.noise_eve),
-        raw_noise_user=channels.noise_user,
-        raw_noise_eve=channels.noise_eve,
-    )
     if channels.noise_user == 1.0 and channels.noise_eve == 1.0:
-        return channels, record
-    scaled = ChannelSet(
+        return channels
+    return ChannelSet(
         H=channels.H,
-        g=channels.g * record.user_amp_scale,
-        l=channels.l * record.eve_amp_scale,
+        g=channels.g * (1.0 / np.sqrt(channels.noise_user)),
+        l=channels.l * (1.0 / np.sqrt(channels.noise_eve)),
         noise_user=1.0,
         noise_eve=1.0,
     )
-    return scaled, record

@@ -45,7 +45,6 @@ def _cmd_sweep(args) -> int:
         num_realizations=args.realizations,
         base_config=cfg,
         out_dir=_out_dir(args, "results_sweep"),
-        phase_init=args.phase_init,
         write_audit=args.audit,
     )
     result = run_sweep(spec)
@@ -100,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", help="scenario config JSON file")
     sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument("--out", help=f"output directory (or ${OUT_DIR_ENV})")
-    sweep.add_argument("--phase-init", choices=("ones", "random"), default="ones")
     sweep.add_argument("--audit", action="store_true", help="write per-run audit.jsonl")
     sweep.set_defaults(func=_cmd_sweep)
 

@@ -1,7 +1,7 @@
 """Scenario configuration and unit conversion helpers.
 
-All powers inside the library are in watts; dBm conversion happens at the
-CLI boundary.
+All powers inside the library are in watts; sweeps over transmit power
+convert their dBm values with ``dbm_to_watts``.
 """
 from __future__ import annotations
 
@@ -18,14 +18,6 @@ def derive_seed(*parts) -> int:
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) / 1000.0
-
-
-def watts_to_dbm(watts: float) -> float:
-    if watts <= 0:
-        raise ValueError(f"watts must be positive, got {watts}")
-    import math
-
-    return 10.0 * math.log10(watts * 1000.0)
 
 
 @dataclass(frozen=True)

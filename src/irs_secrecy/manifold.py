@@ -133,17 +133,9 @@ class PhaseObjective:
         return (2.0 / LN2) * (self.link @ (coef * y))
 
 
-def euclidean_gradient(u: np.ndarray, W: np.ndarray, Z: np.ndarray, ch: ChannelSet) -> np.ndarray:
-    return PhaseObjective(W, Z, ch).euclidean_grad(np.asarray(u, dtype=complex))
-
-
 def tangent_project(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the tangent space at u; idempotent."""
     return v - (v * np.conj(u)).real * u
-
-
-def riemannian_gradient(u: np.ndarray, W: np.ndarray, Z: np.ndarray, ch: ChannelSet) -> np.ndarray:
-    return tangent_project(u, euclidean_gradient(u, W, Z, ch))
 
 
 def vector_transport(u_from: np.ndarray, u_to: np.ndarray, mu: np.ndarray) -> np.ndarray:

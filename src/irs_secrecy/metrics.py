@@ -14,13 +14,12 @@ the [.]^+ clip is applied only to reported secrecy rates, never inside f.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import ChannelSet
-from .solution import TransmitSolution, hermitize, total_power
+from .solution import TransmitSolution, hermitize
 
 LN2 = np.log(2.0)
 
@@ -63,43 +62,14 @@ def _log_arguments_at(W, Z, h, b, ch):
     return n, d, e, m, signal
 
 
-def objective_terms(W, Z, u, ch: ChannelSet) -> tuple[float, float, float, float]:
-    """(F1, F2, G1, G2) for raw arrays; all four are finite for positive noise."""
+def objective_value(W, Z, u, ch: ChannelSet) -> float:
+    """f = F1 + F2 - G1 - G2 for raw arrays; finite for positive noise."""
     n, d, e, m, _ = _log_arguments(W, Z, u, ch)
-    k = ch.num_users
     F1 = -float(np.log2(n).sum())
-    F2 = -k * float(np.log2(m))
+    F2 = -ch.num_users * float(np.log2(m))
     G1 = -float(np.log2(d).sum())
     G2 = -float(np.log2(e).sum())
-    return F1, F2, G1, G2
-
-
-def objective_value(W, Z, u, ch: ChannelSet) -> float:
-    F1, F2, G1, G2 = objective_terms(W, Z, u, ch)
     return F1 + F2 - G1 - G2
-
-
-def sinr_user(k: int, sol: TransmitSolution, ch: ChannelSet) -> float:
-    """Received SINR of user k under multiuser interference and AN."""
-    _check_dims(sol, ch)
-    W = hermitize(sol.W)
-    Z = hermitize(sol.Z)
-    _, d, _, _, signal = _log_arguments(W, Z, sol.u, ch)
-    return float(signal[k] / d[k])
-
-
-def eve_capacity(k: int, sol: TransmitSolution, ch: ChannelSet) -> float:
-    """Wiretap capacity toward user k's message, interference-free eavesdropper."""
-    _check_dims(sol, ch)
-    W = hermitize(sol.W)
-    Z = hermitize(sol.Z)
-    _, _, e, m, _ = _log_arguments(W, Z, sol.u, ch)
-    return float(np.log2(e[k]) - np.log2(m))
-
-
-def power_used(sol: TransmitSolution) -> float:
-    """Total radiated power sum_k tr(W_k) + tr(Z)."""
-    return total_power(sol.W, sol.Z)
 
 
 @dataclass
@@ -114,23 +84,6 @@ class ObjectiveBreakdown:
     secrecy: list[float]
     sum_secrecy: float
     f: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "F1": self.F1,
-                "F2": self.F2,
-                "G1": self.G1,
-                "G2": self.G2,
-                "gamma": self.gamma,
-                "rate": self.rate,
-                "eve_capacity": self.eve_capacity,
-                "secrecy": self.secrecy,
-                "sum_secrecy": self.sum_secrecy,
-                "f": self.f,
-            },
-            sort_keys=True,
-        )
 
 
 def secrecy_rates(sol: TransmitSolution, ch: ChannelSet) -> ObjectiveBreakdown:

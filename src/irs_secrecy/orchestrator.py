@@ -15,9 +15,9 @@ import numpy as np
 from .channels import ChannelSet, normalize
 from .config import ScenarioConfig, derive_seed
 from .manifold import default_phase_init, from_phases, run_cg
-from .metrics import power_used, secrecy_rates
+from .metrics import secrecy_rates
 from .sca import default_start, extract_rank_one, run_sca
-from .solution import HistoryRecord, RunHistory, TransmitSolution
+from .solution import HistoryRecord, RunHistory, TransmitSolution, total_power
 
 logger = logging.getLogger(__name__)
 
@@ -25,7 +25,7 @@ RANK_RESIDUAL_WARN = 1e-6
 
 
 def _working_channels(ch: ChannelSet, cfg: ScenarioConfig) -> ChannelSet:
-    return normalize(ch)[0] if cfg.normalize_noise else ch
+    return normalize(ch) if cfg.normalize_noise else ch
 
 
 def _attach_beamformers(sol: TransmitSolution) -> TransmitSolution:
@@ -47,7 +47,7 @@ def _record(history, t, phase, sol, ch, elapsed_ms, rank_residual=None):
             iteration=t,
             phase=phase,
             f=breakdown.f,
-            power_used=power_used(sol),
+            power_used=total_power(sol.W, sol.Z),
             sum_secrecy=breakdown.sum_secrecy,
             rank_residual=rank_residual,
             wall_time_ms=elapsed_ms,

@@ -25,7 +25,6 @@ from .metrics import (
     effective_eve_channel,
     effective_user_channels,
     objective_value,
-    power_used,
 )
 from .solution import HistoryRecord, RunHistory, TransmitSolution, hermitize, total_power
 
@@ -190,8 +189,6 @@ def run_sca(
     tol: float = 1e-3,
     max_iters: int = 30,
     an_enabled: bool = True,
-    inner_tol: float = 1e-6,
-    inner_max_iters: int = 500,
     step_size: float = 1.0,
 ) -> tuple[TransmitSolution, RunHistory]:
     """Iterate linearize-and-solve until |f change| <= tol, tracking f.
@@ -224,11 +221,7 @@ def run_sca(
         t0 = time.perf_counter()
         spec = build_subproblem(W, Z, u, ch, p_max, an_enabled=an_enabled)
         sol_i, report = convex_inner.solve(
-            spec,
-            TransmitSolution(W=W, Z=Z, u=u),
-            tol=inner_tol,
-            max_iters=inner_max_iters,
-            step_size=step_size,
+            spec, TransmitSolution(W=W, Z=Z, u=u), step_size=step_size
         )
         if report.status == SolverStatus.NUMERICAL_FAILURE:
             raise InnerSolverError(
@@ -243,7 +236,7 @@ def run_sca(
                 iteration=i,
                 phase="sca",
                 f=f_new,
-                power_used=power_used(sol_i),
+                power_used=total_power(W, Z),
                 rank_residual=max_rank_residual(W),
                 wall_time_ms=(time.perf_counter() - t0) * 1e3,
             )

@@ -52,14 +52,6 @@ class TransmitSolution:
     def num_users(self) -> int:
         return self.W.shape[0]
 
-    def copy(self) -> "TransmitSolution":
-        return TransmitSolution(
-            W=self.W.copy(),
-            Z=self.Z.copy(),
-            u=self.u.copy(),
-            w=None if self.w is None else self.w.copy(),
-        )
-
     def validate(self, p_max: float) -> None:
         """Raise ValueError if any constraint is violated beyond tolerance."""
         # one stacked eigvalsh for all K + 1 matrices, each with its own floor
@@ -111,17 +103,3 @@ class RunHistory:
     def is_monotone(self, slack: float = 1e-6) -> bool:
         f = self.f_trace()
         return bool(np.all(np.diff(f) <= slack))
-
-    def to_rows(self) -> list[dict]:
-        return [
-            {
-                "iteration": r.iteration,
-                "phase": r.phase,
-                "f": r.f,
-                "power_used": r.power_used,
-                "sum_secrecy": r.sum_secrecy,
-                "rank_residual": r.rank_residual,
-                "wall_time_ms": r.wall_time_ms,
-            }
-            for r in self.records
-        ]

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .channels import ChannelSet, generate_scenario
 from .config import ScenarioConfig, dbm_to_watts, derive_seed
-from .manifold import aligned_start, from_phases
+from .manifold import aligned_start
 from .metrics import secrecy_rates
 from .orchestrator import baseline_no_an, baseline_random_phase, optimize
 
@@ -61,7 +61,6 @@ class SweepSpec:
     num_realizations: int = 50
     base_config: ScenarioConfig = field(default_factory=ScenarioConfig)
     out_dir: str = "results"
-    phase_init: str = "ones"
     write_audit: bool = False
 
     def __post_init__(self):
@@ -81,8 +80,6 @@ class SweepSpec:
         object.__setattr__(self, "schemes", schemes)
         if self.num_realizations < 1:
             raise ValueError("num_realizations must be >= 1")
-        if self.phase_init not in ("ones", "random"):
-            raise ValueError("phase_init must be 'ones' or 'random'")
 
 
 @dataclass
@@ -111,8 +108,11 @@ class SweepResult:
 
 
 def _fmt(value) -> str:
+    """CSV text of one field: empty for None, ``;``-joined lists, %.12g floats."""
     if value is None:
         return ""
+    if isinstance(value, list):
+        return ";".join(map(_fmt, value))
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)
@@ -124,19 +124,15 @@ def _config_for(spec: SweepSpec, value, seed: int) -> ScenarioConfig:
     return replace(spec.base_config, num_users=int(value), rng_seed=seed)
 
 
-def _start_portfolio(spec_or_seed, ch: ChannelSet, phase_init: str, vi: int, ri: int):
-    """Phase initializations tried per run: base start plus per-user aligned.
+def _start_portfolio(ch: ChannelSet):
+    """Phase initializations tried per run: all-ones plus per-user aligned.
 
     The aligned starts let the alternation commit the surface to a single
     user when that dominates, which keeps the multiuser-diversity trend
     intact; the best run (by reported sum secrecy, then objective) wins.
     """
-    if phase_init == "ones":
-        base = np.ones(ch.num_irs_elements, dtype=complex)
-    else:
-        rng = np.random.default_rng(derive_seed("phase-init", spec_or_seed, vi, ri))
-        base = from_phases(rng.uniform(0.0, 2.0 * np.pi, ch.num_irs_elements))
-    return [base] + [aligned_start(ch, k) for k in range(ch.num_users)]
+    ones = np.ones(ch.num_irs_elements, dtype=complex)
+    return [ones] + [aligned_start(ch, k) for k in range(ch.num_users)]
 
 
 def _best_of_starts(runner, ch: ChannelSet, starts):
@@ -192,8 +188,8 @@ def _run_row(
         if breakdown is None:
             entry["error"] = error
         else:
-            entry["history"] = history.to_rows()
-            entry["breakdown"] = json.loads(breakdown.to_json())
+            entry["history"] = [asdict(r) for r in history.records]
+            entry["breakdown"] = asdict(breakdown)
         audit.append(entry)
     return ResultRow(
         sweep_variable=variable,
@@ -221,9 +217,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             seed = derive_seed("channel", spec.base_config.rng_seed, vi, ri)
             cfg = _config_for(spec, value, seed)
             ch = generate_scenario(cfg)
-            starts = _start_portfolio(
-                spec.base_config.rng_seed, ch, spec.phase_init, vi, ri
-            )
+            starts = _start_portfolio(ch)
             for scheme in spec.schemes:
                 rows.append(
                     _run_row(
@@ -274,9 +268,10 @@ def _write_outputs(
     results_path = out_dir / "results.csv"
     summary_path = out_dir / "summary.csv"
     timing_path = out_dir / "timing.csv"
-    _write_csv(results_path, RESULTS_COLUMNS, map(_result_fields, rows))
-    _write_csv(summary_path, SUMMARY_COLUMNS, map(_summary_fields, summary_rows))
-    _write_csv(timing_path, TIMING_COLUMNS, map(_timing_fields, rows))
+    row_dicts = [asdict(r) for r in rows]
+    _write_csv(results_path, RESULTS_COLUMNS, row_dicts)
+    _write_csv(summary_path, SUMMARY_COLUMNS, summary_rows)
+    _write_csv(timing_path, TIMING_COLUMNS, row_dicts)
     audit_path = None
     if audit is not None:
         audit_path = out_dir / "audit.jsonl"
@@ -286,52 +281,12 @@ def _write_outputs(
     return SweepResult(results_path, summary_path, timing_path, audit_path, rows, summary_rows)
 
 
-def _write_csv(path: Path, columns: tuple, records) -> None:
+def _write_csv(path: Path, columns: tuple, rows) -> None:
+    """Header, then the named columns of each row dict through :func:`_fmt`."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        for fields in records:
-            fh.write(",".join(fields) + "\n")
-
-
-def _result_fields(r: ResultRow) -> list[str]:
-    per_user = (
-        ";".join(_fmt(v) for v in r.per_user_secrecy)
-        if r.per_user_secrecy is not None
-        else ""
-    )
-    return [
-        r.sweep_variable,
-        _fmt(float(r.sweep_value)),
-        r.scheme,
-        str(r.realization),
-        str(r.seed),
-        r.channel_hash,
-        r.status,
-        _fmt(r.sum_secrecy),
-        per_user,
-        _fmt(r.outer_iterations),
-    ]
-
-
-def _summary_fields(s: dict) -> list[str]:
-    return [
-        s["sweep_variable"],
-        _fmt(float(s["sweep_value"])),
-        s["scheme"],
-        str(s["num_realizations"]),
-        _fmt(s["mean_sum_secrecy"]),
-        _fmt(s["std_sum_secrecy"]),
-    ]
-
-
-def _timing_fields(r: ResultRow) -> list[str]:
-    return [
-        r.sweep_variable,
-        _fmt(float(r.sweep_value)),
-        r.scheme,
-        str(r.realization),
-        _fmt(r.wall_time_ms),
-    ]
+        for row in rows:
+            fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
 
 
 def run_case_study(
@@ -363,10 +318,10 @@ def run_case_study(
             seed = derive_seed("case-study", base.rng_seed, label, ri)
             cfg_full = replace(cfg_geom, num_users=k_max, rng_seed=seed)
             ch_full = generate_scenario(cfg_full)
-            for ki, k in enumerate(k_values):
+            for k in k_values:
                 cfg = replace(cfg_geom, num_users=int(k), rng_seed=seed)
                 ch = replace(ch_full, g=ch_full.g[: int(k)])
-                starts = _start_portfolio(base.rng_seed, ch, "ones", ki, ri)
+                starts = _start_portfolio(ch)
                 rows.append(
                     _run_row(
                         "num_users",

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from irs_secrecy.channels import (
     SECTOR_APERTURE,
     SECTOR_INNER_RADIUS,
 )
-from irs_secrecy.config import ScenarioConfig, dbm_to_watts, watts_to_dbm
-from irs_secrecy.metrics import secrecy_rates, sinr_user
+from irs_secrecy.config import ScenarioConfig, dbm_to_watts
+from irs_secrecy.metrics import secrecy_rates
 from tests.conftest import random_solution
 
 
@@ -58,7 +59,7 @@ class TestScenarioConfig:
 
     def test_dbm_round_trip(self):
         assert dbm_to_watts(-110.0) == pytest.approx(1e-14)
-        assert watts_to_dbm(10.0) == pytest.approx(40.0)
+        assert 10.0 * math.log10(dbm_to_watts(40.0) * 1000.0) == pytest.approx(40.0)
 
     @pytest.mark.parametrize(
         "field,value",
@@ -158,40 +159,29 @@ class TestNormalize:
         from tests.conftest import random_channelset
 
         ch = random_channelset(rng)
-        out, record = normalize(ch)
-        assert out is ch
-        assert record.user_amp_scale == 1.0
+        assert normalize(ch) is ch
 
     def test_noise_becomes_one(self):
         ch = generate_scenario(ScenarioConfig(rng_seed=11))
-        out, record = normalize(ch)
+        out = normalize(ch)
         assert out.noise_user == 1.0
         assert out.noise_eve == 1.0
-        assert record.raw_noise_user == pytest.approx(1e-14)
+        assert np.allclose(out.g, ch.g / np.sqrt(ch.noise_user))
+        assert np.allclose(out.l, ch.l / np.sqrt(ch.noise_eve))
+        assert np.array_equal(out.H, ch.H)
 
     def test_rates_invariant(self, rng):
         ch = generate_scenario(ScenarioConfig(rng_seed=12, num_users=2))
-        out, _ = normalize(ch)
+        out = normalize(ch)
         sol = random_solution(rng, ch, power=5.0)
         raw = secrecy_rates(sol, ch)
         nrm = secrecy_rates(sol, out)
-        for k in range(ch.num_users):
-            assert sinr_user(k, sol, out) == pytest.approx(
-                sinr_user(k, sol, ch), rel=1e-9
-            )
+        np.testing.assert_allclose(nrm.gamma, raw.gamma, rtol=1e-9)
         assert nrm.sum_secrecy == pytest.approx(raw.sum_secrecy, rel=1e-9, abs=1e-12)
         assert nrm.f == pytest.approx(raw.f, rel=1e-9, abs=1e-9)
 
 
 class TestChannelSetSerialization:
-    def test_json_round_trip(self, rng):
-        ch = generate_scenario(ScenarioConfig(rng_seed=21, num_users=2))
-        again = ChannelSet.from_json(ch.to_json())
-        assert np.allclose(again.H, ch.H)
-        assert np.allclose(again.g, ch.g)
-        assert np.allclose(again.l, ch.l)
-        assert again.content_hash() == ch.content_hash()
-
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             ChannelSet(

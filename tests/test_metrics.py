@@ -1,19 +1,13 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from irs_secrecy.channels import ChannelSet
-from irs_secrecy.metrics import (
-    eve_capacity,
-    objective_terms,
-    objective_value,
-    power_used,
-    secrecy_rates,
-    sinr_user,
-)
-from irs_secrecy.solution import TransmitSolution
+from irs_secrecy.metrics import objective_value, secrecy_rates
+from irs_secrecy.solution import TransmitSolution, total_power
 from tests.conftest import random_channelset, random_solution, random_unit_modulus
 
 
@@ -66,19 +60,20 @@ class TestSinr:
             Z=np.zeros((1, 1), dtype=complex),
             u=np.ones(1, dtype=complex),
         )
-        assert sinr_user(0, sol, ch) == pytest.approx(p / 0.25)
+        assert secrecy_rates(sol, ch).gamma[0] == pytest.approx(p / 0.25)
 
     def test_zero_beamformer_gives_zero(self, rng):
         ch = random_channelset(rng, num_users=2)
         sol = random_solution(rng, ch)
         sol.W[0] = 0.0
-        assert sinr_user(0, sol, ch) == 0.0
+        assert secrecy_rates(sol, ch).gamma[0] == 0.0
 
     def test_matches_vector_form(self, rng):
         ch = random_channelset(rng, num_users=2, num_irs=3, num_bs=2)
         sol = rank_one_solution(rng, ch)
+        gamma = secrecy_rates(sol, ch).gamma
         for k in range(2):
-            assert sinr_user(k, sol, ch) == pytest.approx(
+            assert gamma[k] == pytest.approx(
                 sinr_vector_form(k, sol.w, sol.Z, sol.u, ch), rel=1e-10
             )
 
@@ -87,7 +82,7 @@ class TestSinr:
         other = random_channelset(rng, num_users=3)
         sol = random_solution(rng, other)
         with pytest.raises(ValueError):
-            sinr_user(0, sol, ch)
+            secrecy_rates(sol, ch)
 
 
 class TestEveCapacity:
@@ -96,20 +91,20 @@ class TestEveCapacity:
         ch = ChannelSet(H=ch.H, g=ch.g, l=np.zeros(ch.num_irs_elements),
                         noise_user=1.0, noise_eve=1.0)
         sol = random_solution(rng, ch)
-        for k in range(2):
-            assert eve_capacity(k, sol, ch) == pytest.approx(0.0, abs=1e-15)
+        assert secrecy_rates(sol, ch).eve_capacity == pytest.approx([0.0, 0.0], abs=1e-15)
 
     def test_zero_beamformer(self, rng):
         ch = random_channelset(rng)
         sol = random_solution(rng, ch)
         sol.W[1] = 0.0
-        assert eve_capacity(1, sol, ch) == pytest.approx(0.0, abs=1e-12)
+        assert secrecy_rates(sol, ch).eve_capacity[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_vector_form(self, rng):
         ch = random_channelset(rng, num_users=3, num_irs=4, num_bs=3)
         sol = rank_one_solution(rng, ch)
+        capacity = secrecy_rates(sol, ch).eve_capacity
         for k in range(3):
-            assert eve_capacity(k, sol, ch) == pytest.approx(
+            assert capacity[k] == pytest.approx(
                 eve_vector_form(k, sol.w, sol.Z, sol.u, ch), rel=1e-10
             )
 
@@ -155,7 +150,8 @@ class TestSecrecyRates:
     def test_json_serialization(self, rng):
         ch = random_channelset(rng)
         bd = secrecy_rates(random_solution(rng, ch), ch)
-        data = json.loads(bd.to_json())
+        # the sweep audit writes the breakdown as its asdict() JSON object
+        data = json.loads(json.dumps(asdict(bd)))
         assert data["sum_secrecy"] == bd.sum_secrecy
         assert len(data["secrecy"]) == ch.num_users
 
@@ -163,20 +159,20 @@ class TestSecrecyRates:
 class TestPowerUsed:
     def test_zero_solution(self):
         sol = TransmitSolution(W=np.zeros((1, 2, 2)), Z=np.zeros((2, 2)), u=np.ones(1))
-        assert power_used(sol) == 0.0
+        assert total_power(sol.W, sol.Z) == 0.0
 
     def test_trace_arithmetic(self):
         sol = TransmitSolution(
             W=np.stack([0.5 * np.eye(2)]), Z=np.eye(2), u=np.ones(3)
         )
-        assert power_used(sol) == pytest.approx(3.0)
+        assert total_power(sol.W, sol.Z) == pytest.approx(3.0)
 
     def test_matches_vector_norms(self, rng):
         ch = random_channelset(rng)
         sol = rank_one_solution(rng, ch)
         expected = sum(np.linalg.norm(sol.w[k]) ** 2 for k in range(ch.num_users))
         expected += np.trace(sol.Z).real
-        assert power_used(sol) == pytest.approx(expected, rel=1e-9)
+        assert total_power(sol.W, sol.Z) == pytest.approx(expected, rel=1e-9)
 
 
 class TestInvariances:
@@ -209,7 +205,6 @@ class TestInvariances:
     def test_terms_agree_with_breakdown(self, rng):
         ch = random_channelset(rng)
         sol = random_solution(rng, ch)
-        f1, f2, g1, g2 = objective_terms(sol.W, sol.Z, sol.u, ch)
+        f = objective_value(sol.W, sol.Z, sol.u, ch)
         bd = secrecy_rates(sol, ch)
-        assert (f1, f2, g1, g2) == pytest.approx((bd.F1, bd.F2, bd.G1, bd.G2))
-        assert objective_value(sol.W, sol.Z, sol.u, ch) == pytest.approx(bd.f)
+        assert f == pytest.approx(bd.F1 + bd.F2 - bd.G1 - bd.G2)
