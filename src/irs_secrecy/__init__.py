@@ -3,7 +3,7 @@
 Alternating optimization of transmit beamforming covariances, an
 artificial-noise covariance and the IRS phase vector: convexified
 beamforming rounds (linearized concave part, projected-gradient inner
-solver, rank-one extraction) interleaved with Riemannian conjugate gradient
+solver, rank-one extraction) interleaved with a Riemannian Newton method
 over the oblique manifold of unit-modulus phases.
 """
 

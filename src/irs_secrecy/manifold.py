@@ -1,4 +1,4 @@
-"""Riemannian conjugate gradient on the oblique manifold of phase vectors.
+"""Riemannian Newton method on the oblique manifold of phase vectors.
 
 The feasible set is {u in C^M : |u_m| = 1}. Treated as a real manifold, its
 tangent space at u is {v : Re(v_m conj(u_m)) = 0 for all m}; projection,
@@ -7,16 +7,31 @@ transport and retraction are all element-wise.
 Gradient convention (Wirtinger): for a real-valued f of a complex vector,
 the ambient gradient used here is grad = 2 * df/d(conj u), equivalently
 df/dRe(u) + 1j * df/dIm(u). The objective for fixed (W, Z) is a signed sum
-f = sum_t w_t log2(u^H C_t X_t C_t^H u + c_t) of T = 3K + 1 terms, where
-C_t (M x N_T) is one of the cascades G_k or L, X_t (N_T x N_T) is Hermitian
-(sum_r W_r + Z, Z, sum_r W_r + Z - W_k or W_k + Z) and c_t a noise power.
-Term t contributes w_t times
+f = sum_t w_t log2(a_t), a_t = u^H C_t X_t C_t^H u + c_t, of T = 3K + 1
+terms, where C_t (M x N_T) is one of the cascades G_k or L, X_t
+(N_T x N_T) is Hermitian (sum_r W_r + Z, Z, sum_r W_r + Z - W_k or W_k + Z)
+and c_t a noise power. Term t contributes w_t times
 
     (2/ln2) * C_t X_t C_t^H u / (u^H C_t X_t C_t^H u + c_t)
 
 to the gradient. Both are evaluated in this factored form, through the
 effective channels h_t = C_t^H u, and never through the M x M matrices
 C_t X_t C_t^H.
+
+The solver works in the phase angles, u = exp(-1j * phi). With
+R_t u = C_t X_t h_t, the quadratic form q_t = a_t - c_t has gradient
+dq_t/dphi = -2 Im(conj(u) * R_t u) and Hessian
+2 Re(B_t X_t B_t^H) - 2 diag(Re(conj(u) * R_t u)), B_t = diag(conj u) C_t.
+With s_t = w_t / (ln2 a_t), f has gradient sum_t s_t dq_t/dphi, whose norm
+equals that of the Riemannian gradient, and the exact Hessian
+
+    H = sum_t s_t Hess(q_t) - sum_t (s_t / a_t) dq_t/dphi dq_t/dphi^T.
+
+`run_cg` takes damped Newton steps with it (Absil, Mahony & Sepulchre,
+Optimization Algorithms on Matrix Manifolds, 2008, ch. 6): the eigenvalues
+of H are replaced by their magnitudes, floored at 1e-8 of the largest, so
+the step descends at saddles and ignores the common phase rotation, along
+which f is constant; an Armijo backtracking search on phi accepts it.
 """
 from __future__ import annotations
 
@@ -30,6 +45,7 @@ from .solution import HistoryRecord, RunHistory, hermitize, total_power
 
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 50
+EIG_FLOOR = 1e-8  # Newton step: |Hessian eigenvalue| floor, relative to the largest
 
 
 class RetractionError(RuntimeError):
@@ -99,6 +115,7 @@ class PhaseObjective:
             [np.broadcast_to(total, W.shape), Z[None], total - W, W + Z]
         )  # (T, N, N)
         t, m, n = links.shape
+        self.links = links
         self.link = links.transpose(1, 0, 2).reshape(m, t * n)
         self.link_h = np.ascontiguousarray(np.conj(self.link).T)
         self.segments = np.repeat(np.eye(t), n, axis=0)  # (T N, T) 0/1
@@ -132,6 +149,24 @@ class PhaseObjective:
         coef = self.segments @ (self.weights / vals)
         return (2.0 / LN2) * (self.link @ (coef * y))
 
+    def derivatives(self, u: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """f, its gradient and its exact Hessian in the phase angles phi.
+
+        One log-argument pass; the Hessian costs one batched (T, M, N_T)
+        kernel product and one M x (T N_T) x M product.
+        """
+        vals, y = self._log_args(u)
+        t, m, n = self.links.shape
+        scale = self.weights / (LN2 * vals)
+        z = np.conj(u) * np.matmul(self.links, y.reshape(t, n, 1))[..., 0]  # conj(u) * R_t u
+        dq = -2.0 * z.imag  # (T, M): dq_t/dphi
+        weighted = np.matmul(self.links, scale[:, None, None] * self.kernels)
+        a = weighted.transpose(1, 0, 2).reshape(m, t * n) @ self.link_h
+        hess = 2.0 * (np.conj(u)[:, None] * a * u).real
+        hess -= np.diag(2.0 * (scale @ z.real))
+        hess -= (dq.T * (scale / vals)) @ dq
+        return float(self.weights @ np.log2(vals)), scale @ dq, hess
+
 
 def tangent_project(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the tangent space at u; idempotent."""
@@ -155,17 +190,6 @@ def retract(u: np.ndarray, delta: float, mu: np.ndarray) -> np.ndarray:
     return moved / mags
 
 
-def polak_ribiere(
-    grad_new: np.ndarray, grad_old_transported: np.ndarray, grad_old: np.ndarray
-) -> float:
-    """PR+ combination weight; clamped at zero so restarts stay descent."""
-    denom = float(np.vdot(grad_old, grad_old).real)
-    if denom <= 0.0:
-        raise ValueError("polak_ribiere needs a nonzero previous gradient")
-    num = float(np.vdot(grad_new, grad_new - grad_old_transported).real)
-    return max(0.0, num / denom)
-
-
 def run_cg(
     u_start: np.ndarray,
     W: np.ndarray,
@@ -175,10 +199,11 @@ def run_cg(
     tol: float = 1e-3,
     max_iters: int = 500,
 ) -> tuple[np.ndarray, RunHistory]:
-    """Minimize f over the oblique manifold by Armijo-CG for fixed (W, Z).
+    """Minimize f over the oblique manifold by damped Newton steps for fixed (W, Z).
 
-    Returns the final point and the per-iteration objective trace. The trace
-    never increases; on line-search stagnation the best iterate so far is
+    Stops when the Riemannian gradient norm is at most ``tol``. Returns the
+    final point and the per-iteration objective trace. The trace never
+    increases; on line-search stagnation the best iterate so far is
     returned with ``history.status`` flagging the condition.
     """
     u = np.asarray(u_start, dtype=complex).ravel().copy()
@@ -190,32 +215,23 @@ def run_cg(
 
     obj = PhaseObjective(W, Z, ch)
     power = total_power(W, Z)
-    f = obj.value(u)
+    f, grad, hess = obj.derivatives(u)
     history = RunHistory()
     history.append(HistoryRecord(iteration=0, phase="manifold", f=f, power_used=power))
-
-    g = tangent_project(u, obj.euclidean_grad(u))
-    gnorm = float(np.linalg.norm(g))
-    if gnorm <= tol:
+    if np.linalg.norm(grad) <= tol:
         return u, history
 
-    mu = -g
-    delta_init = 1.0
     status = "max_iters"
     for j in range(1, max_iters + 1):
         t0 = time.perf_counter()
-        slope = float(np.vdot(g, mu).real)
-        if slope >= 0.0:
-            mu = -g
-            slope = -gnorm * gnorm
-        delta = delta_init
+        lam, vecs = np.linalg.eigh(hess)
+        mags = np.abs(lam)
+        step = -vecs @ ((grad @ vecs) / np.maximum(mags, EIG_FLOOR * mags.max()))
+        slope = float(grad @ step)
+        delta = 1.0
         accepted = False
         for _ in range(MAX_BACKTRACKS):
-            try:
-                u_trial = retract(u, delta, mu)
-            except RetractionError:
-                delta *= 0.5
-                continue
+            u_trial = u * np.exp(-1j * delta * step)
             f_trial = obj.value(u_trial)
             if f_trial <= f + ARMIJO_C * delta * slope:
                 accepted = True
@@ -225,26 +241,20 @@ def run_cg(
             status = "line_search_stagnation"
             break
 
-        g_new = tangent_project(u_trial, obj.euclidean_grad(u_trial))
-        gnorm_new = float(np.linalg.norm(g_new))
+        u, f = u_trial, f_trial
+        _, grad, hess = obj.derivatives(u)
         history.append(
             HistoryRecord(
                 iteration=j,
                 phase="manifold",
-                f=f_trial,
+                f=f,
                 power_used=power,
                 wall_time_ms=(time.perf_counter() - t0) * 1e3,
             )
         )
-        u_prev = u
-        u, f = u_trial, f_trial
-        if gnorm_new <= tol:
+        if np.linalg.norm(grad) <= tol:
             status = "converged"
             break
-        alpha = polak_ribiere(g_new, vector_transport(u_prev, u, g), g)
-        mu = -g_new + alpha * vector_transport(u_prev, u, mu)
-        g, gnorm = g_new, gnorm_new
-        delta_init = min(delta * 2.0, 1e6)
 
     history.status = status
     return u, history

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from irs_secrecy.channels import generate_scenario, normalize
+from irs_secrecy.config import ScenarioConfig, dbm_to_watts, derive_seed
 from irs_secrecy.manifold import (
     PhaseObjective,
     RetractionError,
     aligned_start,
+    default_phase_init,
     from_phases,
     manifold_residual,
-    polak_ribiere,
     retract,
     run_cg,
     tangency_residual,
@@ -16,6 +18,7 @@ from irs_secrecy.manifold import (
     vector_transport,
 )
 from irs_secrecy.metrics import LN2, objective_value
+from irs_secrecy.sca import run_sca
 from irs_secrecy.solution import hermitize
 from tests.conftest import random_channelset, random_solution, random_unit_modulus
 
@@ -94,31 +97,6 @@ class TestGeometry:
             retract(np.array([1.0 + 0j]), 1.0, np.array([-1.0 + 0j]))
 
 
-class TestPolakRibiere:
-    def test_restart_when_gradients_match(self, rng):
-        g = complex_vector(rng, 4)
-        assert polak_ribiere(g, g, g) == 0.0
-
-    def test_reduction_with_zero_transport(self, rng):
-        g_new = complex_vector(rng, 4)
-        g_old = complex_vector(rng, 4)
-        expected = np.linalg.norm(g_new) ** 2 / np.linalg.norm(g_old) ** 2
-        assert polak_ribiere(g_new, np.zeros(4), g_old) == pytest.approx(expected)
-
-    def test_zero_old_gradient_rejected(self, rng):
-        with pytest.raises(ValueError):
-            polak_ribiere(complex_vector(rng, 3), np.zeros(3), np.zeros(3))
-
-    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_never_negative(self, seed):
-        rng = np.random.default_rng(seed)
-        alpha = polak_ribiere(
-            complex_vector(rng, 5), complex_vector(rng, 5), complex_vector(rng, 5)
-        )
-        assert alpha >= 0.0
-
-
 class TestEuclideanGradient:
     def test_zero_covariances_zero_gradient(self, rng):
         ch = random_channelset(rng)
@@ -179,14 +157,8 @@ class TestEuclideanGradient:
             assert f1 < f0
 
 
-def dense_reference(W, Z, ch, u):
-    """The phase objective through the M x M term matrices C_t X_t C_t^H.
-
-    Returns f, the gradient, and the scales the comparisons are relative to:
-    sum_t |w_t| / ln2, the size of a unit relative error in every log
-    argument, and the summed norms of the gradient's terms. Plain |f| is no
-    scale, because the signed sum can cancel (f = 3e-7 seen at 2e5 W).
-    """
+def dense_terms(W, Z, ch):
+    """The M x M term matrices C_t X_t C_t^H with their weights and noise powers."""
     W, Z = hermitize(W), hermitize(Z)
     g, l_eff, k = ch.G, ch.L, ch.num_users
     p1 = np.einsum("kmn,np,kqp->kmq", g, W.sum(axis=0) + Z, np.conj(g))
@@ -202,6 +174,18 @@ def dense_reference(W, Z, ch, u):
         np.full(k, ch.noise_user), [ch.noise_eve],
         np.full(k, ch.noise_user), np.full(k, ch.noise_eve),
     ])
+    return mats, weights, consts
+
+
+def dense_reference(W, Z, ch, u):
+    """The phase objective through the M x M term matrices C_t X_t C_t^H.
+
+    Returns f, the gradient, and the scales the comparisons are relative to:
+    sum_t |w_t| / ln2, the size of a unit relative error in every log
+    argument, and the summed norms of the gradient's terms. Plain |f| is no
+    scale, because the signed sum can cancel (f = 3e-7 seen at 2e5 W).
+    """
+    mats, weights, consts = dense_terms(W, Z, ch)
     vals = np.einsum("m,tmn,n->t", np.conj(u), mats, u).real + consts
     terms = (2.0 / LN2) * (weights / vals)[:, None] * np.einsum("tmn,n->tm", mats, u)
     f_scale = np.abs(weights).sum() / LN2
@@ -255,6 +239,89 @@ class TestFactoredObjective:
             obj.value(sol.u)
         with pytest.raises(ValueError, match="non-positive log argument"):
             obj.euclidean_grad(sol.u)
+
+
+def phase_scales(W, Z, ch, u):
+    """Sizes of the phase gradient and Hessian that their errors are relative to.
+
+    Term t scales as |s_t| = |w_t| / (ln2 a_t) times 2 ||R_t u|| in the
+    gradient and times 2 ||C_t X_t C_t^H|| + 2 ||R_t u|| + 4 ||R_t u||^2 / a_t
+    in the Hessian; unlike the derivatives, neither vanishes at M = 1. The
+    third scale bounds the round-off of f, sum_t |w_t| (1 + |log2 a_t|) / ln2.
+    """
+    mats, weights, consts = dense_terms(W, Z, ch)
+    vals = np.einsum("m,tmn,n->t", np.conj(u), mats, u).real + consts
+    r = np.linalg.norm(np.einsum("tmn,n->tm", mats, u), axis=1)
+    s = np.abs(weights) / (LN2 * vals)
+    g_scale = float(s @ (2.0 * r))
+    h_scale = float(s @ (2.0 * np.linalg.norm(mats, axis=(1, 2)) + 2.0 * r + 4.0 * r * r / vals))
+    f_scale = float(np.abs(weights) @ (1.0 + np.abs(np.log2(vals)))) / LN2
+    return g_scale, h_scale, f_scale
+
+
+class TestPhaseDerivatives:
+    """PhaseObjective.derivatives: f, gradient and Hessian in phi, u = exp(-1j phi)."""
+
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           k=st.integers(min_value=1, max_value=4),
+           m=st.integers(min_value=1, max_value=8),
+           n=st.integers(min_value=1, max_value=6),
+           log_power=st.floats(min_value=-6.0, max_value=6.0))
+    @example(seed=2, k=3, m=1, n=2, log_power=3.0)   # M = 1
+    @example(seed=3, k=4, m=5, n=2, log_power=-3.0)  # K > N_T
+    @settings(max_examples=100, deadline=None)
+    def test_central_differences_and_rotation(self, seed, k, m, n, log_power):
+        rng = np.random.default_rng(seed)
+        ch = random_channelset(rng, num_users=k, num_irs=m, num_bs=n)
+        sol = random_solution(rng, ch, power=10.0 ** log_power)
+        obj = PhaseObjective(sol.W, sol.Z, ch)
+        phi = -np.angle(sol.u)
+        u = from_phases(phi)
+        f, grad, hess = obj.derivatives(u)
+        g_scale, h_scale, f_scale = phase_scales(sol.W, sol.Z, ch, u)
+        assert f == obj.value(u)
+
+        h = 1e-5
+        grad_fd = np.zeros(m)
+        hess_fd = np.zeros((m, m))
+        for i in range(m):
+            e = np.zeros(m)
+            e[i] = h
+            grad_fd[i] = (obj.value(from_phases(phi + e)) - obj.value(from_phases(phi - e))) / (2 * h)
+            hess_fd[:, i] = (
+                obj.derivatives(from_phases(phi + e))[1] - obj.derivatives(from_phases(phi - e))[1]
+            ) / (2 * h)
+        assert np.linalg.norm(grad - grad_fd) <= 1e-6 * g_scale + 1e-9 * f_scale
+        assert np.linalg.norm(hess - hess_fd) <= 1e-7 * h_scale
+
+        # f is constant along the common rotation phi + theta * 1
+        assert abs(grad.sum()) <= 1e-12 * g_scale
+        assert np.linalg.norm(hess @ np.ones(m)) <= 1e-12 * h_scale * np.sqrt(m)
+
+        # the phase gradient has the norm of the Riemannian gradient
+        riem = np.linalg.norm(tangent_project(u, obj.euclidean_grad(u)))
+        assert abs(np.linalg.norm(grad) - riem) <= 1e-12 * g_scale
+
+
+class TestNewtonIterations:
+    # (N_T, M, K) = (2, 40, 1) at 40 dBm, from optimize's first-round
+    # covariances; Polak-Ribiere CG took 212 to 324 iterations on these
+    # draws and stopped at its 500-iteration cap on draw 16
+    @pytest.mark.parametrize("draw", [3, 10, 11, 15, 16, 22])
+    def test_converges_within_30_iterations(self, draw):
+        cfg = ScenarioConfig(
+            num_bs_antennas=2, num_irs_elements=40, num_users=1, p_max=dbm_to_watts(40.0),
+            rng_seed=derive_seed("newton-iterations", draw),
+        )
+        ch = generate_scenario(cfg)
+        work = normalize(ch)
+        u = default_phase_init(ch)
+        sca_sol, _ = run_sca(
+            u, work, cfg.p_max, tol=0.1 * cfg.tol_outer, max_iters=cfg.sca_max_iters
+        )
+        _, hist = run_cg(u, sca_sol.W, sca_sol.Z, work, tol=cfg.tol_manifold)
+        assert hist.status == "converged"
+        assert len(hist.records) - 1 <= 30
 
 
 class TestArmijoDescent:
