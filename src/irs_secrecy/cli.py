@@ -32,8 +32,22 @@ def _out_dir(args, default: str) -> str:
 def _parse_values(text: str, variable: str) -> tuple:
     vals = tuple(float(v) for v in text.split(",") if v.strip() != "")
     if variable == "num_users":
-        vals = tuple(int(v) for v in vals)
+        # only integral counts become ints; the sweep rejects the others
+        vals = tuple(int(v) if v.is_integer() else v for v in vals)
     return vals
+
+
+def _report(result, plot_path) -> int:
+    """Print what a study wrote, and warn on stderr when runs failed."""
+    ok = sum(1 for r in result.rows if r.status == "ok")
+    print(f"wrote {result.results_path} ({ok}/{len(result.rows)} runs ok)")
+    print(f"wrote {result.summary_path}")
+    if plot_path is not None:
+        print(f"wrote {plot_path}")
+    failed = len(result.rows) - ok
+    if failed:
+        print(f"warning: {failed} runs failed; see status column", file=sys.stderr)
+    return 0
 
 
 def _cmd_sweep(args) -> int:
@@ -48,18 +62,13 @@ def _cmd_sweep(args) -> int:
         write_audit=args.audit,
     )
     result = run_sweep(spec)
-    ok = sum(1 for r in result.rows if r.status == "ok")
-    print(f"wrote {result.results_path} ({ok}/{len(result.rows)} runs ok)")
-    print(f"wrote {result.summary_path}")
+    plot_path = None
     # emit_plot rejects a summary in which every run failed
-    if ok:
+    if any(r.status == "ok" for r in result.rows):
         from .svgplot import emit_plot
 
-        print(f"wrote {emit_plot(result.summary_path)}")
-    failed = len(result.rows) - ok
-    if failed:
-        print(f"warning: {failed} runs failed; see status column", file=sys.stderr)
-    return 0
+        plot_path = emit_plot(result.summary_path)
+    return _report(result, plot_path)
 
 
 def _cmd_case_study(args) -> int:
@@ -70,9 +79,7 @@ def _cmd_case_study(args) -> int:
         num_realizations=args.realizations,
         k_values=_parse_values(args.values, "num_users"),
     )
-    print(f"wrote {result.results_path}")
-    print(f"wrote {result.summary_path}")
-    return 0
+    return _report(result, result.plot_path)
 
 
 def _cmd_plot(args) -> int:

@@ -15,7 +15,7 @@ Armijo search (spectral projected gradient).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -84,6 +84,9 @@ class SolverReport:
     min_eigenvalue: float
     status: SolverStatus
     step_size: float = 1.0  # first trial step of the next iteration at exit
+    # (K + 1, N_T) eigenvalues of the returned W_1..W_K, Z, ascending per
+    # matrix: the ones the projection assigned, or start.validate's for the start
+    eigenvalues: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _log_args(spec: SubproblemSpec, W: np.ndarray, Z: np.ndarray):
@@ -133,6 +136,9 @@ def subproblem_gradient(spec: SubproblemSpec, W: np.ndarray, Z: np.ndarray):
 def _project_exact(W: np.ndarray, Z: np.ndarray, p_max: float, an_enabled: bool):
     """Exact Euclidean projection onto {W_k, Z PSD, total trace <= p_max}.
 
+    Returns the projected W and Z and the (K + 1, N) eigenvalues it assigned
+    to W_1..W_K, Z (a zero row for Z when AN is off), ascending per matrix.
+
     The constraint is spectral, so the projection diagonalizes each block and
     projects the concatenated eigenvalue vector onto the simplex-with-budget
     {x >= 0, sum(x) <= p_max}: clip at zero, and if the clipped sum still
@@ -158,8 +164,8 @@ def _project_exact(W: np.ndarray, Z: np.ndarray, p_max: float, an_enabled: bool)
             clipped *= p_max / total
     out = (vecs * clipped[:, None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
     if an_enabled:
-        return out[:-1], out[-1]
-    return out, np.zeros_like(Z)
+        return out[:-1], out[-1], clipped
+    return out, np.zeros_like(Z), np.concatenate([clipped, np.zeros((1, Z.shape[0]))])
 
 
 def solve(
@@ -182,7 +188,8 @@ def solve(
     below a unit step because on unit-scale channels the curvature puts
     almost every BB step below 1. The gradient of each accepted point is
     computed once and serves both <s, y> and the next iteration. The start
-    is not projected again: ``start.validate`` has accepted it.
+    is used as given, neither projected nor symmetrized again:
+    ``start.validate`` has accepted it.
 
     Stops when the unit-step gradient-mapping norm ||X - P(X - grad)||
     drops below ``tol * (1 + |objective|)``. ``step_size`` is the first
@@ -190,16 +197,21 @@ def solve(
     displacement ||X - P(X - t grad)|| grows with t, so only from t >= 1
     does a displacement at float noise prove stationarity, and a step that
     backtracking collapsed to ~1e-16 at the end of one solve cannot freeze
-    the next. The next trial step at exit is reported as
-    ``SolverReport.step_size`` so that a caller solving a sequence of
-    similar subproblems can start the next one from it.
+    the next. The same bound (Calamai & More, Math. Programming 1987,
+    Lemma 2.2) makes the first trial the entry test: when its displacement
+    is at most ``tol * (1 + |q|)`` the start is returned as converged, with
+    that displacement, an upper bound on the unit-step residual, as
+    ``residual``; no separate projection is made on entry. The next trial
+    step at exit is reported as ``SolverReport.step_size`` so that a caller
+    solving a sequence of similar subproblems can start the next one from
+    it, and the spectrum of the returned point as
+    ``SolverReport.eigenvalues``.
     """
     try:
-        start.validate(spec.p_max)
+        eigs = start.validate(spec.p_max)
     except ValueError as exc:
         raise ValueError(f"infeasible start: {exc}") from None
-    W = hermitize(np.asarray(start.W, dtype=complex))
-    Z = hermitize(np.asarray(start.Z, dtype=complex))
+    W, Z = start.W, start.Z
     n, m = _log_args(spec, W, Z)
     q = _objective(spec, W, Z, n, m)
     g_w, g_z = _gradient(spec, n, m)
@@ -208,7 +220,8 @@ def solve(
     residual = np.inf
     status = SolverStatus.MAX_ITERS
     iterations = 0
-    check_residual = True  # evaluate the reference residual on entry
+    entry = True  # the next trial is the first one, with delta >= 1
+    check_residual = False
 
     def _sq_norm(a_w, a_z):
         return float(np.vdot(a_w, a_w).real + np.vdot(a_z, a_z).real)
@@ -216,7 +229,7 @@ def solve(
     def _unit_step_residual(g_w, g_z):
         # norm of the gradient mapping at unit reference step; zero exactly
         # at KKT points of the subproblem
-        Wr, Zr = _project_exact(W - g_w, Z - g_z, spec.p_max, spec.an_enabled)
+        Wr, Zr, _ = _project_exact(W - g_w, Z - g_z, spec.p_max, spec.an_enabled)
         return float(np.sqrt(_sq_norm(Wr - W, Zr - Z)))
 
     for iterations in range(1, max_iters + 1):
@@ -227,19 +240,27 @@ def solve(
                 break
         x_norm = float(np.sqrt(_sq_norm(W, Z)))
         accepted = False
-        stalled = False
+        stopped = False
         for _ in range(MAX_BACKTRACKS):
-            Wt, Zt = _project_exact(
+            Wt, Zt, eigs_t = _project_exact(
                 W - delta * g_w, Z - delta * g_z, spec.p_max, spec.an_enabled
             )
             s_w, s_z = Wt - W, Zt - Z
             step_sq = _sq_norm(s_w, s_z)
             step = np.sqrt(step_sq)
+            if entry and step <= tol * (1.0 + abs(q)):
+                # the displacement ||X - P(X - t grad)|| grows with t, so at
+                # t >= 1 it bounds the unit-step residual from above
+                residual = step
+                status = SolverStatus.CONVERGED
+                stopped = True
+                break
+            entry = False
             if step <= 1e-13 * (1.0 + x_norm):
                 # below eigendecomposition noise: the map cannot move the point
                 residual = step / delta
                 status = SolverStatus.CONVERGED
-                stalled = True
+                stopped = True
                 break
             nt, mt = _log_args(spec, Wt, Zt)
             qt = _objective(spec, Wt, Zt, nt, mt)
@@ -247,7 +268,7 @@ def solve(
                 accepted = True
                 break
             delta *= 0.5
-        if stalled:
+        if stopped:
             break
         if not accepted:
             # distinguish float-level stationarity from a genuine failure
@@ -266,18 +287,17 @@ def solve(
         gt_w, gt_z = _gradient(spec, nt, mt)
         sy = float(np.vdot(s_w, gt_w - g_w).real + np.vdot(s_z, gt_z - g_z).real)
         delta = min(max(step_sq / sy, 1e-8), 1e8) if sy > 0.0 else 1e8
-        W, Z, q, g_w, g_z = Wt, Zt, qt, gt_w, gt_z
+        W, Z, q, g_w, g_z, eigs = Wt, Zt, qt, gt_w, gt_z, eigs_t
 
-    power = total_power(W, Z)
-    min_eig = float(np.linalg.eigvalsh(np.concatenate([W, Z[None]])).min())
     report = SolverReport(
         objective=q,
         iterations=iterations,
         final_step_norm=step_norm,
         residual=residual,
-        power_slack=spec.p_max - power,
-        min_eigenvalue=min_eig,
+        power_slack=spec.p_max - total_power(W, Z),
+        min_eigenvalue=float(eigs.min()),
         status=status,
         step_size=delta,
+        eigenvalues=eigs,
     )
     return TransmitSolution(W=W, Z=Z, u=start.u, w=None), report

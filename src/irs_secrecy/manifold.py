@@ -28,10 +28,12 @@ equals that of the Riemannian gradient, and the exact Hessian
     H = sum_t s_t Hess(q_t) - sum_t (s_t / a_t) dq_t/dphi dq_t/dphi^T.
 
 `run_cg` takes damped Newton steps with it (Absil, Mahony & Sepulchre,
-Optimization Algorithms on Matrix Manifolds, 2008, ch. 6): the eigenvalues
-of H are replaced by their magnitudes, floored at 1e-8 of the largest, so
-the step descends at saddles and ignores the common phase rotation, along
-which f is constant; an Armijo backtracking search on phi accepts it.
+Optimization Algorithms on Matrix Manifolds, 2008, ch. 6) on a modified
+Hessian (`_newton_step`): a rank-one term lifts the exact null direction of
+the common phase rotation, along which f is constant, and a multiple of the
+identity, added only when a Cholesky factorization fails, makes the matrix
+positive definite, so the step descends at saddles. An Armijo backtracking
+search on phi accepts it.
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ from .solution import HistoryRecord, RunHistory, hermitize, total_power
 
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 50
-EIG_FLOOR = 1e-8  # Newton step: |Hessian eigenvalue| floor, relative to the largest
+SHIFT_FLOOR = 1e-3  # smallest identity shift of the Newton matrix, relative to max |H_mm|
 
 
 class RetractionError(RuntimeError):
@@ -190,6 +192,38 @@ def retract(u: np.ndarray, delta: float, mu: np.ndarray) -> np.ndarray:
     return moved / mags
 
 
+def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Modified Newton step -A^{-1} grad, A = H + (s/M) 1 1^T + tau I, s = max |H_mm|.
+
+    f is constant along the common rotation 1, so H 1 = 0 and grad is
+    orthogonal to 1; the rank-one term makes 1 an eigenvector of A with
+    eigenvalue s + tau and leaves the step orthogonal to it. tau is 0 when A
+    has a positive diagonal and, else, the shift that lifts its smallest
+    diagonal entry to beta = 1e-3 s; it doubles (from at least beta) until
+    the Cholesky factorization succeeds (Nocedal & Wright, Numerical
+    Optimization, 2006, Alg. 3.3). So with tau = 0 the step is the exact
+    Newton step on the complement of 1, and A is positive definite in every
+    case, which makes the step a descent direction. numpy has no triangular
+    solve, so the step itself comes from one LU solve with the accepted A.
+    """
+    m = hess.shape[0]
+    sigma = float(np.abs(np.diag(hess)).max())
+    lifted = hess + sigma / m
+    beta = SHIFT_FLOOR * sigma if sigma > 0.0 else 1.0
+    lowest = float(np.diag(lifted).min())
+    tau = 0.0 if lowest > 0.0 else beta - lowest
+    while True:
+        mat = lifted + tau * np.eye(m)
+        try:
+            np.linalg.cholesky(mat)
+            break
+        except np.linalg.LinAlgError:
+            if not tau < np.inf:  # a non-finite Hessian
+                raise
+            tau = max(2.0 * tau, beta)
+    return -np.linalg.solve(mat, grad)
+
+
 def run_cg(
     u_start: np.ndarray,
     W: np.ndarray,
@@ -201,6 +235,9 @@ def run_cg(
 ) -> tuple[np.ndarray, RunHistory]:
     """Minimize f over the oblique manifold by damped Newton steps for fixed (W, Z).
 
+    Each iteration factors the modified phase-angle Hessian by Cholesky
+    (:func:`_newton_step`; again only when it needs a larger shift), solves
+    for the step and backtracks along it until the Armijo condition holds.
     Stops when the Riemannian gradient norm is at most ``tol``. Returns the
     final point and the per-iteration objective trace. The trace never
     increases; on line-search stagnation the best iterate so far is
@@ -224,9 +261,7 @@ def run_cg(
     status = "max_iters"
     for j in range(1, max_iters + 1):
         t0 = time.perf_counter()
-        lam, vecs = np.linalg.eigh(hess)
-        mags = np.abs(lam)
-        step = -vecs @ ((grad @ vecs) / np.maximum(mags, EIG_FLOOR * mags.max()))
+        step = _newton_step(hess, grad)
         slope = float(grad @ step)
         delta = 1.0
         accepted = False

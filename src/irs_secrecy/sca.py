@@ -171,7 +171,11 @@ def default_start(
 
 def max_rank_residual(W: np.ndarray) -> float:
     """Largest second-to-first eigenvalue ratio across the user covariances."""
-    vals = np.linalg.eigvalsh(hermitize(W))
+    return _max_rank_ratio(np.linalg.eigvalsh(hermitize(W)))
+
+
+def _max_rank_ratio(vals: np.ndarray) -> float:
+    """:func:`max_rank_residual` from (K, N) eigenvalues, ascending per row."""
     if vals.shape[1] < 2:
         return 0.0
     top = vals[:, -1]
@@ -237,7 +241,7 @@ def run_sca(
                 phase="sca",
                 f=f_new,
                 power_used=total_power(W, Z),
-                rank_residual=max_rank_residual(W),
+                rank_residual=_max_rank_ratio(report.eigenvalues[:-1]),
                 wall_time_ms=(time.perf_counter() - t0) * 1e3,
             )
         )

@@ -52,8 +52,12 @@ class TransmitSolution:
     def num_users(self) -> int:
         return self.W.shape[0]
 
-    def validate(self, p_max: float) -> None:
-        """Raise ValueError if any constraint is violated beyond tolerance."""
+    def validate(self, p_max: float) -> np.ndarray:
+        """Raise ValueError if any constraint is violated beyond tolerance.
+
+        Returns the (K + 1, N_T) eigenvalues of W_1..W_K, Z, ascending per
+        matrix, which the PSD check computes anyway.
+        """
         # one stacked eigvalsh for all K + 1 matrices, each with its own floor
         stack = np.concatenate([self.W, self.Z[None]], axis=0)
         eigs = np.linalg.eigvalsh(hermitize(stack))
@@ -73,6 +77,7 @@ class TransmitSolution:
                 tr = max(np.trace(self.W[k]).real, 0.0)
                 if resid > 1e-6 * max(tr, 1e-30) and tr > 0:
                     raise ValueError(f"w[{k}] inconsistent with W[{k}]")
+        return eigs
 
 
 @dataclass

@@ -71,7 +71,7 @@ class SweepSpec:
             raise ValueError("values must be non-empty")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("values must be strictly increasing")
-        if self.variable == "num_users" and any(int(v) != v or v < 1 for v in values):
+        if self.variable == "num_users" and not _positive_integers(values):
             raise ValueError("num_users values must be positive integers")
         object.__setattr__(self, "values", values)
         schemes = tuple(self.schemes)
@@ -80,6 +80,10 @@ class SweepSpec:
         object.__setattr__(self, "schemes", schemes)
         if self.num_realizations < 1:
             raise ValueError("num_realizations must be >= 1")
+
+
+def _positive_integers(values) -> bool:
+    return all(float(v).is_integer() and v >= 1 for v in values)
 
 
 @dataclass
@@ -105,6 +109,7 @@ class SweepResult:
     audit_path: Path | None
     rows: list[ResultRow]
     summary_rows: list[dict]
+    plot_path: Path | None = None  # the case study's SVG, when it has a point
 
 
 def _fmt(value) -> str:
@@ -302,6 +307,8 @@ def run_case_study(
     from the IRS; the three curves are (N_T, M) = (6, 6), (10, 6), (6, 10),
     labelled in the scheme column.
     """
+    if not k_values or not _positive_integers(k_values):
+        raise ValueError("k_values must be positive integers")
     base = base_config if base_config is not None else ScenarioConfig()
     base = replace(base, p_max=dbm_to_watts(20.0), r_be=200.0, r_re=250.0)
     out = Path(out_dir)
@@ -343,5 +350,5 @@ def run_case_study(
     if any(s["num_realizations"] for s in summary_rows):
         from .svgplot import emit_plot
 
-        emit_plot(result.summary_path, out / "case_study.svg")
+        result.plot_path = emit_plot(result.summary_path, out / "case_study.svg")
     return result

@@ -1,3 +1,5 @@
+import pytest
+
 from irs_secrecy.cli import main
 from irs_secrecy.config import ScenarioConfig
 
@@ -81,8 +83,33 @@ class TestSweepCommand:
         assert not (tmp_path / "out" / "summary.svg").exists()
 
 
+    @pytest.mark.parametrize("values", ["1.5,2", "1,2.5", "0,1", "inf"])
+    def test_non_integer_user_counts_rejected(self, tmp_path, capsys, values):
+        # they were truncated to ints, so "1.5,2" ran K = 1, 2
+        cfg = tiny_config_file(tmp_path)
+        code = main([
+            "sweep", "--config", str(cfg), "--variable", "num_users",
+            "--values", values, "--schemes", "baseline1", "--realizations", "1",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "error: num_users values must be positive integers" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_integral_user_counts_accepted(self, tmp_path):
+        cfg = tiny_config_file(tmp_path)
+        code = main([
+            "sweep", "--config", str(cfg), "--variable", "num_users",
+            "--values", "1,2.0", "--schemes", "baseline1", "--realizations", "1",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        assert [line.split(",")[1] for line in lines[1:]] == ["1", "2"]
+
+
 class TestCaseStudyCommand:
-    def test_case_study_small(self, tmp_path):
+    def test_case_study_small(self, tmp_path, capsys):
         cfg = tiny_config_file(tmp_path)
         code = main([
             "case-study", "--config", str(cfg), "--values", "1,2",
@@ -91,6 +118,44 @@ class TestCaseStudyCommand:
         assert code == 0
         assert (tmp_path / "case" / "summary.csv").exists()
         assert (tmp_path / "case" / "case_study.svg").exists()
+        captured = capsys.readouterr()
+        assert "(6/6 runs ok)" in captured.out
+        assert f"wrote {tmp_path / 'case' / 'case_study.svg'}" in captured.out
+        assert "warning" not in captured.err
+
+    @pytest.mark.parametrize("values", ["2.9", "1,1.5", "0,1"])
+    def test_non_integer_user_counts_rejected(self, tmp_path, capsys, values):
+        # "2.9" ran K = 2
+        cfg = tiny_config_file(tmp_path)
+        code = main([
+            "case-study", "--config", str(cfg), "--values", values,
+            "--realizations", "1", "--out", str(tmp_path / "case"),
+        ])
+        assert code == 2
+        assert "error: k_values must be positive integers" in capsys.readouterr().err
+        assert not (tmp_path / "case" / "results.csv").exists()
+
+    def test_all_runs_failed_warns_without_plot(self, tmp_path, capsys, monkeypatch):
+        # the command exited 0 and said nothing about the failed runs
+        import irs_secrecy.sweep as sweep_mod
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("solver exploded")
+
+        monkeypatch.setattr(sweep_mod, "optimize", boom)
+        cfg = tiny_config_file(tmp_path)
+        code = main([
+            "case-study", "--config", str(cfg), "--values", "1",
+            "--realizations", "1", "--out", str(tmp_path / "case"),
+        ])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "(0/3 runs ok)" in captured.out
+        assert ".svg" not in captured.out
+        assert "warning: 3 runs failed" in captured.err
+        assert "error:" not in captured.err
+        assert (tmp_path / "case" / "results.csv").exists()
+        assert not (tmp_path / "case" / "case_study.svg").exists()
 
 
 class TestPlotCommand:

@@ -15,7 +15,7 @@ from irs_secrecy.convex_inner import (
 )
 from irs_secrecy.metrics import LN2, secrecy_rates
 from irs_secrecy.orchestrator import optimize
-from irs_secrecy.sca import build_subproblem, default_start, run_sca
+from irs_secrecy.sca import build_subproblem, default_start, max_rank_residual, run_sca
 from irs_secrecy.solution import TransmitSolution, hermitize
 from tests.conftest import random_channelset, random_psd, random_solution
 
@@ -68,7 +68,7 @@ def reference_gradient(spec, W, Z):
 def unit_step_residual(spec, sol):
     """||X - P(X - grad)|| at the returned point, recomputed from scratch."""
     g_w, g_z = reference_gradient(spec, sol.W, sol.Z)
-    Wr, Zr = _project_exact(sol.W - g_w, sol.Z - g_z, spec.p_max, spec.an_enabled)
+    Wr, Zr, _ = _project_exact(sol.W - g_w, sol.Z - g_z, spec.p_max, spec.an_enabled)
     return float(np.sqrt(
         np.linalg.norm(Wr - sol.W) ** 2 + np.linalg.norm(Zr - sol.Z) ** 2
     ))
@@ -121,7 +121,7 @@ class TestProjectExactBudget:
             scale = 10.0 ** rng.uniform(0.0, 9.0)
             raw = rng.standard_normal((k + 1, n, n)) + 1j * rng.standard_normal((k + 1, n, n))
             stack = scale * hermitize(raw)
-            W, Z = _project_exact(stack[:k], stack[k], p_max, an_enabled)
+            W, Z, _ = _project_exact(stack[:k], stack[k], p_max, an_enabled)
             TransmitSolution(W=W, Z=Z, u=np.ones(1)).validate(p_max)
 
 
@@ -129,13 +129,13 @@ class TestProjectExact:
     def test_feasible_input_unchanged(self, rng):
         ch = random_channelset(rng)
         sol = random_solution(rng, ch, power=2.0)
-        W, Z = _project_exact(sol.W, sol.Z, 5.0, True)
+        W, Z, _ = _project_exact(sol.W, sol.Z, 5.0, True)
         assert np.allclose(W, sol.W, atol=1e-12)
         assert np.allclose(Z, sol.Z, atol=1e-12)
 
     def test_eigenvalue_clip(self):
         w = np.diag([2.0, -1.0]).astype(complex)
-        W, _ = _project_exact(w[None], np.zeros((2, 2), dtype=complex), 100.0, True)
+        W, _, _ = _project_exact(w[None], np.zeros((2, 2), dtype=complex), 100.0, True)
         vals = np.linalg.eigvalsh(W[0])
         assert vals == pytest.approx([0.0, 2.0], abs=1e-12)
 
@@ -151,7 +151,7 @@ class TestProjectExact:
             for _ in range(k)
         ])
         Z = hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        W, Z = _project_exact(W, Z, p_max, True)
+        W, Z, _ = _project_exact(W, Z, p_max, True)
         power = np.einsum("kii->", W).real + np.trace(Z).real
         assert power <= p_max * (1 + 1e-9) + 1e-12
         assert np.linalg.eigvalsh(W).min() >= -1e-12
@@ -163,7 +163,7 @@ class TestProjectExact:
                       for _ in range(2)])
         Z = hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         once = _project_exact(W, Z, 2.0, True)
-        twice = _project_exact(*once, 2.0, True)
+        twice = _project_exact(*once[:2], 2.0, True)
         assert np.allclose(twice[0], once[0], atol=1e-12)
         assert np.allclose(twice[1], once[1], atol=1e-12)
 
@@ -301,6 +301,77 @@ class TestSolve:
         assert report.status == SolverStatus.CONVERGED
 
 
+class TestEntryAndExitSpectrum:
+    def test_restart_from_converged_output_returns_it(self, rng, monkeypatch):
+        # the first trial (step >= 1) doubles as the entry stationarity test
+        original_project = convex_inner._project_exact
+        calls = []
+
+        def counting_project(*args):
+            calls.append(1)
+            return original_project(*args)
+
+        for _ in range(30):
+            spec, start, _, _ = random_spec(
+                rng, k=int(rng.integers(1, 4)), n=int(rng.integers(1, 5)),
+                p_max=float(10.0 ** rng.uniform(-2.0, 3.0)),
+                an_enabled=bool(rng.integers(0, 2)),
+            )
+            sol, report = solve(spec, start)
+            assert report.status == SolverStatus.CONVERGED
+            monkeypatch.setattr(convex_inner, "_project_exact", counting_project)
+            calls.clear()
+            again, report2 = solve(spec, sol)
+            monkeypatch.setattr(convex_inner, "_project_exact", original_project)
+            assert report2.status == SolverStatus.CONVERGED
+            assert len(calls) == 1
+            assert np.array_equal(again.W, sol.W) and np.array_equal(again.Z, sol.Z)
+            # ||X - P(X - t grad)|| at t >= 1 bounds the unit-step residual,
+            # up to the eigendecomposition's rounding on the projected input
+            g_w, g_z = reference_gradient(spec, again.W, again.Z)
+            noise = 1e-12 * np.sqrt(
+                np.linalg.norm(again.W - g_w) ** 2 + np.linalg.norm(again.Z - g_z) ** 2
+            )
+            assert report2.residual >= unit_step_residual(spec, again) - noise
+            assert report2.residual <= 1e-6 * (1.0 + abs(report2.objective))
+
+    def test_exit_eigenvalues_match_returned_stack(self, rng):
+        for _ in range(40):
+            an_enabled = bool(rng.integers(0, 2))
+            spec, start, _, _ = random_spec(
+                rng, k=int(rng.integers(1, 4)), n=int(rng.integers(1, 5)),
+                p_max=float(10.0 ** rng.uniform(-3.0, 4.0)), an_enabled=an_enabled,
+            )
+            for max_iters in (1, 500):
+                sol, report = solve(spec, start, max_iters=max_iters)
+                stack = hermitize(np.concatenate([sol.W, sol.Z[None]]))
+                assert report.eigenvalues.shape == stack.shape[:2]
+                assert np.abs(report.eigenvalues - np.linalg.eigvalsh(stack)).max() <= (
+                    1e-10 * spec.p_max
+                )
+                assert report.min_eigenvalue == report.eigenvalues.min()
+
+    def test_run_sca_rank_residual_from_report(self, rng, monkeypatch):
+        original_solve = convex_inner.solve
+        outputs = []
+
+        def recording_solve(spec, start, **kwargs):
+            sol, report = original_solve(spec, start, **kwargs)
+            outputs.append(sol.W)
+            return sol, report
+
+        monkeypatch.setattr(convex_inner, "solve", recording_solve)
+        for _ in range(6):
+            ch = random_channelset(rng, num_users=int(rng.integers(1, 4)), num_irs=4,
+                                   num_bs=int(rng.integers(1, 5)))
+            u = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
+            outputs.clear()
+            _, history = run_sca(u, ch, p_max=float(10.0 ** rng.uniform(-1.0, 3.0)))
+            assert len(outputs) == len(history.records) - 1
+            for record, W in zip(history.records[1:], outputs):
+                assert abs(record.rank_residual - max_rank_residual(W)) <= 1e-12
+
+
 class TestStepSize:
     def test_huge_start_step_stays_feasible_and_descends(self, rng):
         for _ in range(40):
@@ -362,7 +433,7 @@ class TestStepSize:
             t = report.final_step_norm / report.residual
             assert t <= 1.0
             g_w, g_z = subproblem_gradient(spec, start.W, start.Z)
-            W, Z = _project_exact(
+            W, Z, _ = _project_exact(
                 start.W - t * g_w, start.Z - t * g_z, spec.p_max, spec.an_enabled
             )
             assert np.allclose(W, sol.W, rtol=0, atol=1e-12 * spec.p_max)

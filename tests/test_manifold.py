@@ -7,6 +7,7 @@ from irs_secrecy.config import ScenarioConfig, dbm_to_watts, derive_seed
 from irs_secrecy.manifold import (
     PhaseObjective,
     RetractionError,
+    _newton_step,
     aligned_start,
     default_phase_init,
     from_phases,
@@ -322,6 +323,54 @@ class TestNewtonIterations:
         _, hist = run_cg(u, sca_sol.W, sca_sol.Z, work, tol=cfg.tol_manifold)
         assert hist.status == "converged"
         assert len(hist.records) - 1 <= 30
+
+
+def rotation_free_hessian(rng, m, eigs):
+    """Symmetric H with H 1 = 0 and eigenvalues ``eigs`` on the complement of 1."""
+    q, _ = np.linalg.qr(np.column_stack([np.ones(m), rng.standard_normal((m, m - 1))]))
+    basis = q[:, 1:]
+    hess = (basis * eigs) @ basis.T
+    return 0.5 * (hess + hess.T), basis
+
+
+class TestNewtonStep:
+    # the phase Hessian has the exact null vector 1 (the common rotation) and
+    # the gradient is orthogonal to it
+    @pytest.mark.parametrize("kind", ["definite", "indefinite", "near_singular"])
+    def test_descent_and_no_rotation(self, kind):
+        rng = np.random.default_rng(derive_seed("newton-step", kind))
+        for _ in range(200):
+            m = int(rng.integers(2, 41))
+            eigs = rng.uniform(0.1, 10.0, m - 1)
+            if kind == "indefinite":
+                eigs = rng.uniform(-5.0, 10.0, m - 1)
+                eigs[0] = -abs(eigs[0]) - 0.1
+            elif kind == "near_singular":
+                eigs[0] = 10.0 ** rng.uniform(-10.0, -4.0)
+            scale = 10.0 ** rng.uniform(-6.0, 6.0)
+            hess, basis = rotation_free_hessian(rng, m, scale * eigs)
+            grad = basis @ rng.standard_normal(m - 1)
+            step = _newton_step(hess, grad)
+            assert grad @ step < 0.0
+            assert abs(step.sum()) <= 1e-13 * np.sqrt(m) * np.linalg.norm(step)
+            lifted = hess + np.abs(np.diag(hess)).max() / m
+            if np.diag(lifted).min() > 0.0 and np.linalg.eigvalsh(lifted).min() > 0.0:
+                # tau = 0: the Newton step on the complement of 1; a linear
+                # solve loses cond * eps, so compare where cond <= 1e5
+                assert kind != "indefinite"
+                if np.abs(eigs).max() <= 1e5 * np.abs(eigs).min():
+                    newton = -np.linalg.pinv(hess, rcond=1e-12, hermitian=True) @ grad
+                    assert np.linalg.norm(step - newton) <= 1e-10 * np.linalg.norm(newton)
+
+    def test_run_cg_makes_no_eigendecomposition(self, rng, monkeypatch):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        ch = random_channelset(rng, num_users=2, num_irs=8)
+        sol = random_solution(rng, ch)
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        _, hist = run_cg(sol.u, sol.W, sol.Z, ch, tol=1e-8)
+        assert len(hist.records) > 2
 
 
 class TestArmijoDescent:
