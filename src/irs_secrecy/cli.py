@@ -37,13 +37,13 @@ def _parse_values(text: str, variable: str) -> tuple:
     return vals
 
 
-def _report(result, plot_path) -> int:
+def _report(result) -> int:
     """Print what a study wrote, and warn on stderr when runs failed."""
     ok = sum(1 for r in result.rows if r.status == "ok")
     print(f"wrote {result.results_path} ({ok}/{len(result.rows)} runs ok)")
     print(f"wrote {result.summary_path}")
-    if plot_path is not None:
-        print(f"wrote {plot_path}")
+    if result.plot_path is not None:
+        print(f"wrote {result.plot_path}")
     failed = len(result.rows) - ok
     if failed:
         print(f"warning: {failed} runs failed; see status column", file=sys.stderr)
@@ -61,25 +61,17 @@ def _cmd_sweep(args) -> int:
         out_dir=_out_dir(args, "results_sweep"),
         write_audit=args.audit,
     )
-    result = run_sweep(spec)
-    plot_path = None
-    # emit_plot rejects a summary in which every run failed
-    if any(r.status == "ok" for r in result.rows):
-        from .svgplot import emit_plot
-
-        plot_path = emit_plot(result.summary_path)
-    return _report(result, plot_path)
+    return _report(run_sweep(spec))
 
 
 def _cmd_case_study(args) -> int:
     cfg = _load_config(args)
-    result = run_case_study(
+    return _report(run_case_study(
         cfg,
         _out_dir(args, "results_case_study"),
         num_realizations=args.realizations,
         k_values=_parse_values(args.values, "num_users"),
-    )
-    return _report(result, result.plot_path)
+    ))
 
 
 def _cmd_plot(args) -> int:

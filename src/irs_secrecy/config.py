@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 
 
@@ -51,6 +52,10 @@ class ScenarioConfig:
     normalize_noise: bool = True
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison below, so it is rejected here first
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.num_users < 1:
             raise ValueError(f"num_users must be >= 1, got {self.num_users}")
         if self.num_bs_antennas <= 1:
@@ -68,6 +73,8 @@ class ScenarioConfig:
         for name in ("cell_radius", "r_be", "r_re", "bs_irs_distance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.tol_manifold <= 0 or self.tol_outer <= 0:
+            raise ValueError("tolerances must be positive")
         if self.max_outer_iters < 1 or self.sca_max_iters < 1:
             raise ValueError("iteration caps must be >= 1")
         if not (0 <= self.rng_seed < 2 ** 64):

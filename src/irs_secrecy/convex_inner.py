@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .metrics import LN2
-from .solution import TransmitSolution, hermitize, total_power
+from .solution import TransmitSolution, total_power
 
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 60
@@ -47,6 +47,8 @@ class SubproblemSpec:
     lin_w, lin_z : gradients of the subtracted affine underestimator
     affine_const : its value at W = 0, Z = 0
     an_enabled   : when False, Z is pinned to the zero matrix
+
+    All four matrices are complex Hermitian; they are used as given.
     """
 
     a_mats: np.ndarray
@@ -60,10 +62,6 @@ class SubproblemSpec:
     an_enabled: bool = True
 
     def __post_init__(self):
-        self.a_mats = hermitize(np.asarray(self.a_mats, dtype=complex))
-        self.b_mat = hermitize(np.asarray(self.b_mat, dtype=complex))
-        self.lin_w = hermitize(np.asarray(self.lin_w, dtype=complex))
-        self.lin_z = hermitize(np.asarray(self.lin_z, dtype=complex))
         if self.noise_user <= 0 or self.noise_eve <= 0:
             raise ValueError("noise constants must be positive")
         if self.p_max < 0:

@@ -132,7 +132,7 @@ class PhaseObjective:
         h = self.link_h @ u
         y = np.matmul(self.kernels, h.reshape(self.kernels.shape[:2] + (1,))).ravel()
         vals = (np.conj(h) * y).real @ self.segments + self.consts
-        if (vals <= 0).any():
+        if not (vals > 0).all():  # a NaN argument fails too
             raise ValueError("non-positive log argument in phase objective")
         return vals, y
 
@@ -245,7 +245,7 @@ def run_cg(
     """
     u = np.asarray(u_start, dtype=complex).ravel().copy()
     resid = manifold_residual(u)
-    if resid > 1e-9:
+    if not resid <= 1e-9:  # a NaN residual fails too
         raise ValueError(f"u_start is off the manifold (residual {resid:.2e})")
     if resid > 1e-12:
         u = u / np.abs(u)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelSet
-from .solution import TransmitSolution, hermitize
+from .solution import TransmitSolution
 
 LN2 = np.log(2.0)
 
@@ -89,9 +89,8 @@ class ObjectiveBreakdown:
 def secrecy_rates(sol: TransmitSolution, ch: ChannelSet) -> ObjectiveBreakdown:
     """Evaluate every rate metric and the decomposed objective at a solution."""
     _check_dims(sol, ch)
-    W = hermitize(sol.W)
-    Z = hermitize(sol.Z)
-    n, d, e, m, signal = _log_arguments(W, Z, sol.u, ch)
+    # Re(h^H W h) sees only the Hermitian part of W, so no symmetrization
+    n, d, e, m, signal = _log_arguments(sol.W, sol.Z, sol.u, ch)
 
     log_n, log_d, log_e = np.log2(n), np.log2(d), np.log2(e)
     log_m = np.log2(m)

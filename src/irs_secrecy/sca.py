@@ -9,7 +9,6 @@ touches it at the expansion point.
 """
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass
 
@@ -20,7 +19,6 @@ from .channels import ChannelSet
 from .convex_inner import InnerSolverError, SolverStatus, SubproblemSpec
 from .metrics import (
     LN2,
-    _log_arguments,
     _log_arguments_at,
     effective_eve_channel,
     effective_user_channels,
@@ -28,35 +26,24 @@ from .metrics import (
 )
 from .solution import HistoryRecord, RunHistory, TransmitSolution, hermitize, total_power
 
-logger = logging.getLogger(__name__)
 
-
-def _channels_and_grams(u: np.ndarray, ch: ChannelSet):
-    """h_k, b and their Gram matrices A_k = h_k h_k^H, B = b b^H at phases u."""
+def _linearize(W: np.ndarray, Z: np.ndarray, u: np.ndarray, ch: ChannelSet):
+    """A_k = h_k h_k^H and B = b b^H at phases u, and (value, grad_w, grad_z)
+    of G1 and of G2 at (W, Z), from one pass over the channels."""
     h = effective_user_channels(ch, u)
     b = effective_eve_channel(ch, u)
     a_mats = np.einsum("kn,kp->knp", h, np.conj(h))
     b_mat = np.outer(b, np.conj(b))
-    return h, b, a_mats, b_mat
-
-
-def _g1_gradients(a_mats: np.ndarray, d: np.ndarray):
-    if np.any(d <= 0):
-        raise ValueError("non-positive log argument in G1")
-    coef = 1.0 / (LN2 * d)
-    g_z = -np.einsum("k,knp->np", coef, a_mats)
-    # W_r is absent from its own d_r, so add its term back
-    g_w = g_z[None, :, :] + coef[:, None, None] * a_mats
-    return hermitize(g_w), hermitize(g_z)
-
-
-def _g2_gradients(b_mat: np.ndarray, e: np.ndarray):
-    if np.any(e <= 0):
-        raise ValueError("non-positive log argument in G2")
-    coef = 1.0 / (LN2 * e)
-    g_w = -coef[:, None, None] * b_mat[None, :, :]
-    g_z = -coef.sum() * b_mat
-    return hermitize(g_w), hermitize(g_z)
+    _, d, e, _, _ = _log_arguments_at(W, Z, h, b, ch)
+    if not ((d > 0).all() and (e > 0).all()):  # a NaN argument fails too
+        raise ValueError("non-positive log argument in G1 or G2")
+    c1, c2 = 1.0 / (LN2 * d), 1.0 / (LN2 * e)
+    g1_z = -np.einsum("k,knp->np", c1, a_mats)
+    # W_r is absent from its own d_r, so its gradient adds that term back
+    g1_w = g1_z[None, :, :] + c1[:, None, None] * a_mats
+    g1 = (-float(np.log2(d).sum()), g1_w, g1_z)
+    g2 = (-float(np.log2(e).sum()), -c2[:, None, None] * b_mat, -c2.sum() * b_mat)
+    return a_mats, b_mat, g1, g2
 
 
 def grad_G1(W: np.ndarray, Z: np.ndarray, u: np.ndarray, ch: ChannelSet):
@@ -65,16 +52,14 @@ def grad_G1(W: np.ndarray, Z: np.ndarray, u: np.ndarray, ch: ChannelSet):
     G1 = -sum_k log2(d_k) with d_k the interference-plus-noise term of user
     k, so dG1/dW_r = -sum_{k != r} A_k / (ln2 d_k) and dG1/dZ sums over all k.
     """
-    h, b, a_mats, _ = _channels_and_grams(u, ch)
-    _, d, _, _, _ = _log_arguments_at(W, Z, h, b, ch)
-    return _g1_gradients(a_mats, d)
+    _, _, (_, g_w, g_z), _ = _linearize(W, Z, u, ch)
+    return g_w, g_z
 
 
 def grad_G2(W: np.ndarray, Z: np.ndarray, u: np.ndarray, ch: ChannelSet):
     """Gradients of G2 wrt each W_k and Z; per-user denominators e_k."""
-    h, b, _, b_mat = _channels_and_grams(u, ch)
-    _, _, e, _, _ = _log_arguments_at(W, Z, h, b, ch)
-    return _g2_gradients(b_mat, e)
+    _, _, _, (_, g_w, g_z) = _linearize(W, Z, u, ch)
+    return g_w, g_z
 
 
 @dataclass
@@ -94,15 +79,11 @@ class Linearization:
 
 
 def linearize_g1(W, Z, u, ch: ChannelSet) -> Linearization:
-    _, d, _, _, _ = _log_arguments(W, Z, u, ch)
-    g_w, g_z = grad_G1(W, Z, u, ch)
-    return Linearization(W.copy(), Z.copy(), -float(np.log2(d).sum()), g_w, g_z)
+    return Linearization(W.copy(), Z.copy(), *_linearize(W, Z, u, ch)[2])
 
 
 def linearize_g2(W, Z, u, ch: ChannelSet) -> Linearization:
-    _, _, e, _, _ = _log_arguments(W, Z, u, ch)
-    g_w, g_z = grad_G2(W, Z, u, ch)
-    return Linearization(W.copy(), Z.copy(), -float(np.log2(e).sum()), g_w, g_z)
+    return Linearization(W.copy(), Z.copy(), *_linearize(W, Z, u, ch)[3])
 
 
 def build_subproblem(
@@ -116,24 +97,14 @@ def build_subproblem(
 ) -> SubproblemSpec:
     """Package the convex subproblem around the expansion point (W_i, Z_i).
 
-    The point's feasibility is checked by :func:`convex_inner.solve`.
+    The point's feasibility is checked by :func:`convex_inner.solve`; only
+    its Hermitian part is read, so it is not symmetrized.
     """
-    W_i = hermitize(np.asarray(W_i, dtype=complex))
-    Z_i = hermitize(np.asarray(Z_i, dtype=complex))
-
-    # one pass over the channels: the same values as linearize_g1 + linearize_g2
-    h, b, a_mats, b_mat = _channels_and_grams(u, ch)
-    _, d, e, _, _ = _log_arguments_at(W_i, Z_i, h, b, ch)
-    g1_w, g1_z = _g1_gradients(a_mats, d)
-    g2_w, g2_z = _g2_gradients(b_mat, e)
+    # the same values as linearize_g1 + linearize_g2, from one pass
+    a_mats, b_mat, (g1, g1_w, g1_z), (g2, g2_w, g2_z) = _linearize(W_i, Z_i, u, ch)
     lin_w = g1_w + g2_w
     lin_z = g1_z + g2_z
-    affine_const = (
-        -float(np.log2(d).sum())
-        - float(np.log2(e).sum())
-        - np.vdot(lin_w, W_i).real
-        - np.vdot(lin_z, Z_i).real
-    )
+    affine_const = g1 + g2 - np.vdot(lin_w, W_i).real - np.vdot(lin_z, Z_i).real
     return SubproblemSpec(
         a_mats=a_mats,
         noise_user=ch.noise_user,
@@ -204,8 +175,8 @@ def run_sca(
     u = np.asarray(u, dtype=complex)
     if start is None:
         start = default_start(u, ch, p_max, an_enabled=an_enabled)
-    W = hermitize(np.asarray(start.W, dtype=complex))
-    Z = hermitize(np.asarray(start.Z, dtype=complex))
+    W = hermitize(start.W)
+    Z = hermitize(start.Z)
     if not an_enabled and np.linalg.norm(Z) != 0:
         raise ValueError("an_enabled=False requires a zero AN covariance start")
 

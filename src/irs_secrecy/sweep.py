@@ -9,6 +9,7 @@ that is excluded from the determinism contract.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -69,6 +70,8 @@ class SweepSpec:
         values = tuple(self.values)
         if not values:
             raise ValueError("values must be non-empty")
+        if self.variable == "p_max_dbm" and not all(map(math.isfinite, values)):
+            raise ValueError("p_max_dbm values must be finite")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("values must be strictly increasing")
         if self.variable == "num_users" and not _positive_integers(values):
@@ -109,7 +112,7 @@ class SweepResult:
     audit_path: Path | None
     rows: list[ResultRow]
     summary_rows: list[dict]
-    plot_path: Path | None = None  # the case study's SVG, when it has a point
+    plot_path: Path | None  # the summary's SVG, when it has a point
 
 
 def _fmt(value) -> str:
@@ -212,7 +215,7 @@ def _run_row(
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Execute the sweep and write results/summary/timing CSV files."""
+    """Execute the sweep and write results/summary/timing CSV files and summary.svg."""
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[ResultRow] = []
@@ -268,8 +271,9 @@ def _write_outputs(
     rows: list[ResultRow],
     summary_rows: list[dict],
     audit: list | None = None,
+    plot_name: str = "summary.svg",
 ) -> SweepResult:
-    """Write results.csv, summary.csv, timing.csv and, given entries, audit.jsonl."""
+    """Write the CSV files, audit.jsonl given entries, and a plot of any summary data."""
     results_path = out_dir / "results.csv"
     summary_path = out_dir / "summary.csv"
     timing_path = out_dir / "timing.csv"
@@ -283,7 +287,14 @@ def _write_outputs(
         with open(audit_path, "w", encoding="utf-8", newline="\n") as fh:
             for entry in audit:
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    return SweepResult(results_path, summary_path, timing_path, audit_path, rows, summary_rows)
+    plot_path = None
+    if any(s["num_realizations"] for s in summary_rows):
+        from .svgplot import emit_plot  # svgplot imports this module
+
+        plot_path = emit_plot(summary_path, out_dir / plot_name)
+    return SweepResult(
+        results_path, summary_path, timing_path, audit_path, rows, summary_rows, plot_path
+    )
 
 
 def _write_csv(path: Path, columns: tuple, rows) -> None:
@@ -305,7 +316,7 @@ def run_case_study(
 
     Fixed 20 dBm budget with the eavesdropper 200 m from the BS and 250 m
     from the IRS; the three curves are (N_T, M) = (6, 6), (10, 6), (6, 10),
-    labelled in the scheme column.
+    labelled in the scheme column. The summary is plotted to case_study.svg.
     """
     if not k_values or not _positive_integers(k_values):
         raise ValueError("k_values must be positive integers")
@@ -345,10 +356,4 @@ def run_case_study(
     # case-study rows are ordered by (value, scheme, realization) for determinism
     rows.sort(key=lambda r: (r.sweep_value, labels.index(r.scheme), r.realization))
     summary_rows = _summarize("num_users", k_values, labels, rows)
-    result = _write_outputs(out, rows, summary_rows)
-    # emit_plot rejects a summary in which every run failed
-    if any(s["num_realizations"] for s in summary_rows):
-        from .svgplot import emit_plot
-
-        result.plot_path = emit_plot(result.summary_path, out / "case_study.svg")
-    return result
+    return _write_outputs(out, rows, summary_rows, plot_name="case_study.svg")

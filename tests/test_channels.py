@@ -70,6 +70,14 @@ class TestScenarioConfig:
             ("p_max", 0.0),
             ("noise_user", -1e-14),
             ("cell_radius", 0.0),
+            # NaN passed every "<= 0" check and failed later, in the solvers
+            ("noise_user", float("nan")),
+            ("p_max", float("inf")),
+            ("r_be", float("nan")),
+            ("num_users", float("nan")),
+            ("tol_outer", float("nan")),
+            ("tol_manifold", 0.0),
+            ("tol_outer", -1e-3),
         ],
     )
     def test_invalid_fields_rejected(self, field, value):

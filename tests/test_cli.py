@@ -25,6 +25,7 @@ class TestSweepCommand:
         assert (tmp_path / "out" / "results.csv").exists()
         assert (tmp_path / "out" / "summary.csv").exists()
         assert (tmp_path / "out" / "summary.svg").exists()
+        assert f"wrote {tmp_path / 'out' / 'summary.svg'}" in out
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         cfg = tiny_config_file(tmp_path)
@@ -54,6 +55,31 @@ class TestSweepCommand:
         assert code != 0
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values", ["nan", "10,inf"])
+    def test_non_finite_powers_rejected(self, tmp_path, capsys, values):
+        # each run used to become an error:LinAlgError row, with exit code 0
+        cfg = tiny_config_file(tmp_path)
+        code = main([
+            "sweep", "--config", str(cfg), "--values", values,
+            "--schemes", "baseline1", "--realizations", "1",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "error: p_max_dbm values must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_non_finite_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"noise_user": NaN}', encoding="utf-8")
+        code = main([
+            "sweep", "--config", str(cfg), "--values", "10",
+            "--schemes", "baseline1", "--realizations", "1",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "error: noise_user must be finite, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main([
             "sweep", "--config", str(tmp_path / "absent.json"),
@@ -76,11 +102,12 @@ class TestSweepCommand:
             "--out", str(tmp_path / "out"),
         ])
         assert code == 0
-        err = capsys.readouterr().err
-        assert "warning: 1 runs failed" in err
-        assert "error:" not in err
+        captured = capsys.readouterr()
+        assert ".svg" not in captured.out
+        assert "warning: 1 runs failed" in captured.err
+        assert "error:" not in captured.err
         assert (tmp_path / "out" / "results.csv").exists()
-        assert not (tmp_path / "out" / "summary.svg").exists()
+        assert not list((tmp_path / "out").glob("*.svg"))
 
 
     @pytest.mark.parametrize("values", ["1.5,2", "1,2.5", "0,1", "inf"])
@@ -155,7 +182,7 @@ class TestCaseStudyCommand:
         assert "warning: 3 runs failed" in captured.err
         assert "error:" not in captured.err
         assert (tmp_path / "case" / "results.csv").exists()
-        assert not (tmp_path / "case" / "case_study.svg").exists()
+        assert not list((tmp_path / "case").glob("*.svg"))
 
 
 class TestPlotCommand:

@@ -241,6 +241,18 @@ class TestFactoredObjective:
         with pytest.raises(ValueError, match="non-positive log argument"):
             obj.euclidean_grad(sol.u)
 
+    def test_nan_log_argument_rejected(self, rng):
+        # NaN failed no "<= 0" guard, so f came back as nan
+        ch = random_channelset(rng, num_users=2)
+        sol = random_solution(rng, ch)
+        W = sol.W.copy()
+        W[0, 0, 0] = np.nan
+        obj = PhaseObjective(W, sol.Z, ch)
+        with pytest.raises(ValueError, match="non-positive log argument"):
+            obj.value(sol.u)
+        with pytest.raises(ValueError, match="non-positive log argument"):
+            run_cg(sol.u, W, sol.Z, ch)
+
 
 def phase_scales(W, Z, ch, u):
     """Sizes of the phase gradient and Hessian that their errors are relative to.
@@ -413,6 +425,15 @@ class TestRunCg:
         sol = random_solution(rng, ch)
         with pytest.raises(ValueError, match="manifold"):
             run_cg(1.5 * sol.u, sol.W, sol.Z, ch)
+
+    def test_nan_start_rejected(self, rng):
+        # a NaN residual passed "resid > 1e-9", and run_cg returned f = nan
+        ch = random_channelset(rng)
+        sol = random_solution(rng, ch)
+        u = sol.u.copy()
+        u[0] = np.nan
+        with pytest.raises(ValueError, match="off the manifold"):
+            run_cg(u, sol.W, sol.Z, ch)
 
     def test_monotone_trace_and_feasible_output(self, rng):
         for _ in range(50):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from irs_secrecy.metrics import objective_value
+from irs_secrecy.metrics import objective_value, secrecy_rates
 from irs_secrecy.sca import (
     build_subproblem,
     default_start,
@@ -156,14 +156,22 @@ class TestBuildSubproblem:
                 affine_const = (
                     lin1.value
                     + lin2.value
-                    - np.einsum("kij,kij->", np.conj(lin_w), W).real
-                    - np.einsum("ij,ij->", np.conj(lin_z), Z).real
+                    - np.vdot(lin_w, W).real
+                    - np.vdot(lin_z, Z).real
                 )
-                assert np.linalg.norm(spec.lin_w - lin_w) <= 1e-12 * np.linalg.norm(lin_w)
-                assert np.linalg.norm(spec.lin_z - lin_z) <= 1e-12 * np.linalg.norm(lin_z)
-                assert abs(spec.affine_const - affine_const) <= 1e-12 * max(
-                    abs(affine_const), 1.0
-                )
+                # one linearization pass serves both, so they agree bit for bit
+                assert np.array_equal(spec.lin_w, lin_w)
+                assert np.array_equal(spec.lin_z, lin_z)
+                assert spec.affine_const == affine_const
+
+    def test_nan_expansion_point_rejected(self, rng):
+        # a NaN log argument failed no "<= 0" guard
+        ch = random_channelset(rng, num_users=2)
+        u = random_unit_modulus(rng, ch.num_irs_elements)
+        W, Z = feasible_point(rng, ch, power=2.0)
+        W[0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-positive log argument"):
+            build_subproblem(W, Z, u, ch, p_max=4.0)
 
     def test_dimensions(self, rng):
         ch = random_channelset(rng, num_users=3, num_bs=4)
@@ -173,6 +181,40 @@ class TestBuildSubproblem:
         assert spec.a_mats.shape == (3, 4, 4)
         assert spec.lin_w.shape == (3, 4, 4)
         assert spec.b_mat.shape == (4, 4)
+
+
+class TestHermitianPartOnly:
+    """The linearization and the metrics read W and Z only through Re(h^H X h)
+    and Re<L, X> with Hermitian L, so a skew-Hermitian part changes nothing
+    beyond round-off: none of them needs its inputs symmetrized."""
+
+    def test_skew_part_ignored(self, rng):
+        for k, n in ((1, 3), (2, 2), (3, 4)):
+            ch = random_channelset(rng, num_users=k, num_bs=n)
+            u = random_unit_modulus(rng, ch.num_irs_elements)
+            W, Z = feasible_point(rng, ch, power=2.0)
+
+            def skew(shape):
+                a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                return a - hermitize(a)
+
+            Ws, Zs = W + skew(W.shape), Z + skew(Z.shape)
+            assert np.linalg.norm(Zs - Z) > 0.1
+
+            def close(a, b):
+                return np.linalg.norm(np.subtract(a, b)) <= 1e-12 * np.linalg.norm(b)
+
+            for bd_s, bd in zip(
+                vars(secrecy_rates(TransmitSolution(W=Ws, Z=Zs, u=u), ch)).values(),
+                vars(secrecy_rates(TransmitSolution(W=W, Z=Z, u=u), ch)).values(),
+            ):
+                assert close(bd_s, bd)
+            assert close(objective_value(Ws, Zs, u, ch), objective_value(W, Z, u, ch))
+            spec_s = build_subproblem(Ws, Zs, u, ch, p_max=4.0)
+            spec = build_subproblem(W, Z, u, ch, p_max=4.0)
+            assert close(spec_s.affine_const, spec.affine_const)
+            assert close(spec_s.lin_w, spec.lin_w)
+            assert close(spec_s.lin_z, spec.lin_z)
 
 
 class TestRunSca:

@@ -49,6 +49,11 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             tiny_spec(tmp_path, num_realizations=0)
 
+    @pytest.mark.parametrize("values", [(float("nan"),), (10.0, float("inf"))])
+    def test_powers_must_be_finite(self, tmp_path, values):
+        with pytest.raises(ValueError, match="finite"):
+            tiny_spec(tmp_path, values=values)
+
     def test_user_counts_must_be_integers(self, tmp_path):
         with pytest.raises(ValueError):
             tiny_spec(tmp_path, variable="num_users", values=(1.5, 2.0))
@@ -64,6 +69,8 @@ class TestRunSweep:
         lines = result.results_path.read_text().splitlines()
         assert len(lines) == 2  # header + one data row
         assert lines[0] == ",".join(RESULTS_COLUMNS)
+        assert result.plot_path == tmp_path / "summary.svg"
+        assert result.plot_path.stat().st_size > 0
 
     def test_rerun_byte_identical(self, tmp_path):
         spec_a = tiny_spec(tmp_path / "a")
@@ -125,6 +132,8 @@ class TestRunSweep:
         assert result.rows[0].sum_secrecy is None
         text = result.results_path.read_text()
         assert "error:RuntimeError" in text
+        assert result.plot_path is None  # nothing to plot
+        assert not (tmp_path / "summary.svg").exists()
         entries = [json.loads(line) for line in result.audit_path.read_text().splitlines()]
         assert len(entries) == 1
         assert entries[0]["error"] == "RuntimeError: synthetic failure"
@@ -195,7 +204,8 @@ class TestCaseStudy:
         assert len(result.rows) == 3 * 2 * 2
         lines = result.summary_path.read_text().splitlines()
         assert lines[0] == ",".join(SUMMARY_COLUMNS)
-        assert (tmp_path / "case" / "case_study.svg").exists()
+        assert result.plot_path == tmp_path / "case" / "case_study.svg"
+        assert result.plot_path.exists()
 
     def test_failures_recorded_not_raised(self, tmp_path, monkeypatch):
         import irs_secrecy.sweep as sweep_mod
@@ -213,7 +223,8 @@ class TestCaseStudy:
         summary = result.summary_path.read_text().splitlines()[1:]
         assert len(summary) == 3 * 2
         assert all(line.split(",")[3] == "0" for line in summary)
-        assert not (tmp_path / "case" / "case_study.svg").exists()  # nothing to plot
+        assert result.plot_path is None  # nothing to plot
+        assert not list((tmp_path / "case").glob("*.svg"))
 
     def test_channels_nested_across_user_counts(self, tmp_path):
         # same realization at different K shares the underlying draw, so the
