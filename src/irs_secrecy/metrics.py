@@ -64,12 +64,7 @@ def _log_arguments_at(W, Z, h, b, ch):
 
 def objective_value(W, Z, u, ch: ChannelSet) -> float:
     """f = F1 + F2 - G1 - G2 for raw arrays; finite for positive noise."""
-    n, d, e, m, _ = _log_arguments(W, Z, u, ch)
-    F1 = -float(np.log2(n).sum())
-    F2 = -ch.num_users * float(np.log2(m))
-    G1 = -float(np.log2(d).sum())
-    G2 = -float(np.log2(e).sum())
-    return F1 + F2 - G1 - G2
+    return _breakdown(*_log_arguments(W, Z, u, ch)).f
 
 
 @dataclass
@@ -90,11 +85,14 @@ def secrecy_rates(sol: TransmitSolution, ch: ChannelSet) -> ObjectiveBreakdown:
     """Evaluate every rate metric and the decomposed objective at a solution."""
     _check_dims(sol, ch)
     # Re(h^H W h) sees only the Hermitian part of W, so no symmetrization
-    n, d, e, m, signal = _log_arguments(sol.W, sol.Z, sol.u, ch)
+    return _breakdown(*_log_arguments(sol.W, sol.Z, sol.u, ch))
 
+
+def _breakdown(n, d, e, m, signal) -> ObjectiveBreakdown:
+    """:func:`secrecy_rates` from the log arguments of :func:`_log_arguments`."""
     log_n, log_d, log_e = np.log2(n), np.log2(d), np.log2(e)
     log_m = np.log2(m)
-    k = ch.num_users
+    k = n.shape[0]
 
     rate = log_n - log_d
     eve = log_e - log_m

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,7 +41,7 @@ def _attach_beamformers(sol: TransmitSolution) -> TransmitSolution:
     return sol
 
 
-def _record(history, t, phase, sol, ch, elapsed_ms, rank_residual=None):
+def _record(history, t, phase, sol, ch, elapsed_ms):
     breakdown = secrecy_rates(sol, ch)
     history.append(
         HistoryRecord(
@@ -49,7 +50,6 @@ def _record(history, t, phase, sol, ch, elapsed_ms, rank_residual=None):
             f=breakdown.f,
             power_used=total_power(sol.W, sol.Z),
             sum_secrecy=breakdown.sum_secrecy,
-            rank_residual=rank_residual,
             wall_time_ms=elapsed_ms,
         )
     )
@@ -86,14 +86,13 @@ def _alternate(
             step_size=step_size,
         )
         W, Z, step_size = sol_t.W, sol_t.Z, sca_hist.step_size
-        _record(
-            history,
-            t,
-            "sca",
-            sol_t,
-            work,
-            (time.perf_counter() - t0) * 1e3,
-            rank_residual=sca_hist.records[-1].rank_residual,
+        # the last SCA record already holds f and sum_secrecy at (W, Z)
+        history.append(
+            replace(
+                sca_hist.records[-1],
+                iteration=t,
+                wall_time_ms=(time.perf_counter() - t0) * 1e3,
+            )
         )
 
         t0 = time.perf_counter()

@@ -19,10 +19,10 @@ from .channels import ChannelSet
 from .convex_inner import InnerSolverError, SolverStatus, SubproblemSpec
 from .metrics import (
     LN2,
+    _breakdown,
     _log_arguments_at,
     effective_eve_channel,
     effective_user_channels,
-    objective_value,
 )
 from .solution import HistoryRecord, RunHistory, TransmitSolution, hermitize, total_power
 
@@ -32,11 +32,16 @@ def _linearize(W: np.ndarray, Z: np.ndarray, u: np.ndarray, ch: ChannelSet):
     of G1 and of G2 at (W, Z), from one pass over the channels."""
     h = effective_user_channels(ch, u)
     b = effective_eve_channel(ch, u)
-    a_mats = np.einsum("kn,kp->knp", h, np.conj(h))
-    b_mat = np.outer(b, np.conj(b))
     _, d, e, _, _ = _log_arguments_at(W, Z, h, b, ch)
+    return _expand(h, b, d, e)
+
+
+def _expand(h: np.ndarray, b: np.ndarray, d: np.ndarray, e: np.ndarray):
+    """:func:`_linearize` from the channels and the G1, G2 log arguments d, e."""
     if not ((d > 0).all() and (e > 0).all()):  # a NaN argument fails too
         raise ValueError("non-positive log argument in G1 or G2")
+    a_mats = np.einsum("kn,kp->knp", h, np.conj(h))
+    b_mat = np.outer(b, np.conj(b))
     c1, c2 = 1.0 / (LN2 * d), 1.0 / (LN2 * e)
     g1_z = -np.einsum("k,knp->np", c1, a_mats)
     # W_r is absent from its own d_r, so its gradient adds that term back
@@ -100,8 +105,13 @@ def build_subproblem(
     The point's feasibility is checked by :func:`convex_inner.solve`; only
     its Hermitian part is read, so it is not symmetrized.
     """
+    return _subproblem(W_i, Z_i, _linearize(W_i, Z_i, u, ch), ch, p_max, an_enabled)
+
+
+def _subproblem(W_i, Z_i, expansion, ch: ChannelSet, p_max: float, an_enabled: bool):
+    """:func:`build_subproblem` from the :func:`_linearize` output at (W_i, Z_i)."""
     # the same values as linearize_g1 + linearize_g2, from one pass
-    a_mats, b_mat, (g1, g1_w, g1_z), (g2, g2_w, g2_z) = _linearize(W_i, Z_i, u, ch)
+    a_mats, b_mat, (g1, g1_w, g1_z), (g2, g2_w, g2_z) = expansion
     lin_w = g1_w + g2_w
     lin_z = g1_z + g2_z
     affine_const = g1 + g2 - np.vdot(lin_w, W_i).real - np.vdot(lin_z, Z_i).real
@@ -155,6 +165,21 @@ def _max_rank_ratio(vals: np.ndarray) -> float:
     return float(ratios.max())
 
 
+def _span_basis(h: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Orthonormal basis (N_T, r) of S = span{h_1, ..., h_K, b}, r <= K + 1.
+
+    None when K + 1 >= N_T: S is then (generically) the whole space. The
+    basis comes from an SVD, so collinear channels give r = dim S and not a
+    column spanned by round-off.
+    """
+    k, n = h.shape
+    if k + 1 >= n:
+        return None
+    vecs, s, _ = np.linalg.svd(np.concatenate([h, b[None]]).T, full_matrices=False)
+    rank = int((s > s[0] * n * np.finfo(float).eps).sum())
+    return vecs[:, : max(rank, 1)]
+
+
 def run_sca(
     u: np.ndarray,
     ch: ChannelSet,
@@ -168,6 +193,16 @@ def run_sca(
 ) -> tuple[TransmitSolution, RunHistory]:
     """Iterate linearize-and-solve until |f change| <= tol, tracking f.
 
+    f, and every SCA surrogate, reads W_k and Z only through the quadratic
+    forms h_k^H X h_k and b^H X b, with h_k and b in S = span{h_1..h_K, b}.
+    So P X P, with P the projector onto S, is as good as X and uses no more
+    power (Jorswieck, Larsson & Danev, IEEE TSP 2008). When K + 1 < N_T the
+    loop runs on Q^H X Q, with Q an orthonormal basis of S, and the returned
+    W_k and Z are lifted back as Q Y Q^H: they lie in S, and a start outside
+    S is replaced by its projection onto S. Each record carries f and
+    sum_secrecy of its iterate, from the same log arguments that linearize
+    the next round.
+
     ``step_size`` starts the first inner solve; each later round starts from
     the step the previous solve ended with, and the last one is returned as
     ``history.step_size`` for the caller's next run.
@@ -175,26 +210,46 @@ def run_sca(
     u = np.asarray(u, dtype=complex)
     if start is None:
         start = default_start(u, ch, p_max, an_enabled=an_enabled)
-    W = hermitize(start.W)
-    Z = hermitize(start.Z)
-    if not an_enabled and np.linalg.norm(Z) != 0:
+    if not an_enabled and np.linalg.norm(start.Z) != 0:
         raise ValueError("an_enabled=False requires a zero AN covariance start")
+    h = effective_user_channels(ch, u)
+    b = effective_eve_channel(ch, u)
+    q = _span_basis(h, b)
+    if q is None:
+        W = hermitize(start.W)
+        Z = hermitize(start.Z)
+    else:
+        # the solver checks only the compressed start, which is feasible
+        # whenever the start is, so the start itself is checked here
+        try:
+            TransmitSolution(W=start.W, Z=start.Z, u=u).validate(p_max)
+        except ValueError as exc:
+            raise ValueError(f"infeasible start: {exc}") from None
+        qh = np.conj(q.T)
+        W = hermitize(qh @ start.W @ q)
+        Z = hermitize(qh @ start.Z @ q)
+        h, b = h @ np.conj(q), b @ np.conj(q)
+
+    def evaluate(W, Z):
+        logs = _log_arguments_at(W, Z, h, b, ch)
+        return logs, _breakdown(*logs)
 
     history = RunHistory()
-    f_prev = objective_value(W, Z, u, ch)
+    logs, rates = evaluate(W, Z)
     history.append(
         HistoryRecord(
             iteration=0,
             phase="sca",
-            f=f_prev,
+            f=rates.f,
             power_used=total_power(W, Z),
+            sum_secrecy=rates.sum_secrecy,
             rank_residual=max_rank_residual(W),
         )
     )
     history.status = "max_iters"
     for i in range(1, max_iters + 1):
         t0 = time.perf_counter()
-        spec = build_subproblem(W, Z, u, ch, p_max, an_enabled=an_enabled)
+        spec = _subproblem(W, Z, _expand(h, b, logs[1], logs[2]), ch, p_max, an_enabled)
         sol_i, report = convex_inner.solve(
             spec, TransmitSolution(W=W, Z=Z, u=u), step_size=step_size
         )
@@ -205,22 +260,25 @@ def run_sca(
             )
         W, Z = sol_i.W, sol_i.Z
         step_size = report.step_size
-        f_new = objective_value(W, Z, u, ch)
+        f_prev = rates.f
+        logs, rates = evaluate(W, Z)
         history.append(
             HistoryRecord(
                 iteration=i,
                 phase="sca",
-                f=f_new,
+                f=rates.f,
                 power_used=total_power(W, Z),
+                sum_secrecy=rates.sum_secrecy,
                 rank_residual=_max_rank_ratio(report.eigenvalues[:-1]),
                 wall_time_ms=(time.perf_counter() - t0) * 1e3,
             )
         )
-        if abs(f_new - f_prev) <= tol:
+        if abs(rates.f - f_prev) <= tol:
             history.status = "converged"
             break
-        f_prev = f_new
     history.step_size = step_size
+    if q is not None:
+        W, Z = q @ W @ qh, q @ Z @ qh
     return TransmitSolution(W=W, Z=Z, u=u), history
 
 

@@ -70,8 +70,10 @@ class SweepSpec:
         values = tuple(self.values)
         if not values:
             raise ValueError("values must be non-empty")
-        if self.variable == "p_max_dbm" and not all(map(math.isfinite, values)):
-            raise ValueError("p_max_dbm values must be finite")
+        if self.variable == "p_max_dbm" and not all(map(_is_power_dbm, values)):
+            raise ValueError(
+                "p_max_dbm values must be finite and convert to a finite positive power"
+            )
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("values must be strictly increasing")
         if self.variable == "num_users" and not _positive_integers(values):
@@ -83,6 +85,15 @@ class SweepSpec:
         object.__setattr__(self, "schemes", schemes)
         if self.num_realizations < 1:
             raise ValueError("num_realizations must be >= 1")
+
+
+def _is_power_dbm(value) -> bool:
+    """True when ``value`` dBm is a finite positive power in watts."""
+    try:
+        watts = dbm_to_watts(value)
+    except OverflowError:  # 10.0 ** 400 raises instead of giving inf
+        return False
+    return math.isfinite(watts) and watts > 0
 
 
 def _positive_integers(values) -> bool:

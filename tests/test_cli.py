@@ -55,9 +55,11 @@ class TestSweepCommand:
         assert code != 0
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("values", ["nan", "10,inf"])
+    @pytest.mark.parametrize("values", ["nan", "10,inf", "10,4000", "-4000"])
     def test_non_finite_powers_rejected(self, tmp_path, capsys, values):
-        # each run used to become an error:LinAlgError row, with exit code 0
+        # each NaN or inf run used to become an error:LinAlgError row, with
+        # exit code 0; 4000 dBm ran the 10 dBm row, then failed on an
+        # OverflowError with no CSV written, and -4000 dBm is 0 W
         cfg = tiny_config_file(tmp_path)
         code = main([
             "sweep", "--config", str(cfg), "--values", values,

@@ -26,6 +26,21 @@ class TestOptimize:
         phases = [r.phase for r in hist.records]
         assert phases == ["init", "sca", "manifold"]
 
+    def test_sca_record_matches_secrecy_rates(self):
+        # the "sca" record is run_sca's last record, not a re-evaluation;
+        # with one outer round the phases before the manifold step are u0.
+        # N_T = 6 > K + 1, so the SCA phase runs in the span of the channels
+        cfg = small_config(6, num_bs_antennas=6, max_outer_iters=1, normalize_noise=False)
+        ch = generate_scenario(cfg)
+        u0 = np.exp(1j * np.random.default_rng(1).uniform(0, 2 * np.pi, cfg.num_irs_elements))
+        sol, hist = optimize(ch, cfg, u_init=u0)
+        record = hist.records[1]
+        assert record.phase == "sca"
+        rates = secrecy_rates(replace(sol, u=u0), ch)
+        assert record.f == pytest.approx(rates.f, rel=1e-12)
+        assert record.sum_secrecy == pytest.approx(rates.sum_secrecy, rel=1e-12)
+        assert record.power_used == pytest.approx(total_power(sol.W, sol.Z), rel=1e-12)
+
     def test_monotone_history(self):
         for seed in range(15):
             cfg = small_config(seed)

@@ -13,9 +13,15 @@ from irs_secrecy.sca import (
     max_rank_residual,
     run_sca,
 )
-from irs_secrecy.convex_inner import subproblem_objective
-from irs_secrecy.metrics import _log_arguments
-from irs_secrecy.solution import TransmitSolution, hermitize
+from irs_secrecy import convex_inner
+from irs_secrecy.channels import ChannelSet
+from irs_secrecy.convex_inner import _project_exact, subproblem_gradient, subproblem_objective
+from irs_secrecy.metrics import (
+    _log_arguments,
+    effective_eve_channel,
+    effective_user_channels,
+)
+from irs_secrecy.solution import TransmitSolution, hermitize, total_power
 from tests.conftest import random_channelset, random_solution, random_unit_modulus
 
 
@@ -284,6 +290,111 @@ class TestRunSca:
         sol, hist = run_sca(u, ch, p_max=4.0, an_enabled=False)
         assert np.all(sol.Z == 0)
         assert hist.is_monotone(slack=1e-6)
+
+
+def span_projector(u, ch):
+    """Projector onto S = span{h_1..h_K, b}, from an SVD with its own rank cut."""
+    c = np.concatenate([effective_user_channels(ch, u), effective_eve_channel(ch, u)[None]]).T
+    vecs, s, _ = np.linalg.svd(c, full_matrices=False)
+    q = vecs[:, s > 1e-10 * s[0]]
+    return q @ q.conj().T
+
+
+def collinear_channelset(rng, num_users, num_bs):
+    """Users 0 and 1 see proportional cascades, so h_1 = c h_0 and dim S = K."""
+    ch = random_channelset(rng, num_users=num_users, num_bs=num_bs)
+    g = ch.g.copy()
+    g[1] = (0.6 - 0.8j) * g[0]
+    return ChannelSet(H=ch.H, g=g, l=ch.l, noise_user=1.0, noise_eve=1.0)
+
+
+# (K, N_T, collinear users 0 and 1): K + 1 < N_T, = N_T, > N_T, and dim S < K + 1
+SPAN_CASES = [(2, 6, False), (2, 3, False), (3, 2, False), (3, 6, True)]
+
+
+def span_case(rng, k, n, collinear):
+    if collinear:
+        return collinear_channelset(rng, k, n)
+    return random_channelset(rng, num_users=k, num_bs=n)
+
+
+class TestSpanReduction:
+    """f and every SCA surrogate read (W, Z) only through h_k^H X h_k and
+    b^H X b, so run_sca works in S = span{h_1..h_K, b} and returns points
+    that lie in S."""
+
+    @pytest.mark.parametrize("k, n, collinear", SPAN_CASES)
+    def test_projection_keeps_objective_and_power(self, rng, k, n, collinear):
+        for _ in range(5):
+            ch = span_case(rng, k, n, collinear)
+            u = random_unit_modulus(rng, ch.num_irs_elements)
+            W, Z = feasible_point(rng, ch, power=3.0)
+            P = span_projector(u, ch)
+            Wp, Zp = P @ W @ P, P @ Z @ P
+            f = objective_value(W, Z, u, ch)
+            assert objective_value(Wp, Zp, u, ch) == pytest.approx(f, rel=1e-12)
+            assert total_power(Wp, Zp) <= total_power(W, Z) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("an_enabled", [True, False])
+    @pytest.mark.parametrize("k, n, collinear", SPAN_CASES)
+    def test_outputs_lie_in_span(self, rng, k, n, collinear, an_enabled):
+        p_max = 4.0
+        for _ in range(3):
+            ch = span_case(rng, k, n, collinear)
+            u = random_unit_modulus(rng, ch.num_irs_elements)
+            # the default start (isotropic AN) and a full-rank one both reach
+            # outside S
+            W, Z = feasible_point(rng, ch, power=p_max)
+            if not an_enabled:
+                Z = np.zeros_like(Z)
+            for start in (None, TransmitSolution(W=W, Z=Z, u=u)):
+                sol, hist = run_sca(u, ch, p_max, start=start, an_enabled=an_enabled)
+                P = span_projector(u, ch)
+                for X in (*sol.W, sol.Z):
+                    assert np.linalg.norm(P @ X @ P - X) <= 1e-12 * p_max
+                sol.validate(p_max)
+                assert hist.is_monotone(slack=1e-9)
+                if not an_enabled:
+                    assert np.all(sol.Z == 0)
+
+    @pytest.mark.parametrize("k, n, collinear", [(2, 6, False), (3, 6, True)])
+    def test_one_round_matches_full_space_solve(self, rng, k, n, collinear):
+        p_max = 4.0
+        for _ in range(5):
+            ch = span_case(rng, k, n, collinear)
+            u = random_unit_modulus(rng, ch.num_irs_elements)
+            W, Z = feasible_point(rng, ch, power=p_max)
+            P = span_projector(u, ch)
+            start = TransmitSolution(W=hermitize(P @ W @ P), Z=hermitize(P @ Z @ P), u=u)
+            spec = build_subproblem(start.W, start.Z, u, ch, p_max)
+            full, report = convex_inner.solve(spec, start)
+            reduced, hist = run_sca(u, ch, p_max, start=start, max_iters=1)
+            assert len(hist.records) == 2
+            # the subproblem is flat along some directions, so the two points
+            # may differ by more than round-off; but both reach its minimum
+            # to the solver's tolerance, and the reduced one passes the
+            # solver's own stopping test on the full-space subproblem
+            q = subproblem_objective(spec, reduced.W, reduced.Z)
+            tol = 1e-6 * (1 + abs(q))
+            assert q == pytest.approx(report.objective, abs=tol)
+            g_w, g_z = subproblem_gradient(spec, reduced.W, reduced.Z)
+            W_p, Z_p, _ = _project_exact(reduced.W - g_w, reduced.Z - g_z, p_max, True)
+            residual = np.sqrt(
+                np.linalg.norm(W_p - reduced.W) ** 2 + np.linalg.norm(Z_p - reduced.Z) ** 2
+            )
+            assert residual <= 10 * tol
+
+    @pytest.mark.parametrize("k, n, collinear", SPAN_CASES)
+    def test_records_match_secrecy_rates_at_output(self, rng, k, n, collinear):
+        # the orchestrator reuses the last record instead of re-evaluating
+        ch = span_case(rng, k, n, collinear)
+        u = random_unit_modulus(rng, ch.num_irs_elements)
+        sol, hist = run_sca(u, ch, p_max=4.0)
+        rates = secrecy_rates(sol, ch)
+        last = hist.records[-1]
+        assert last.f == pytest.approx(rates.f, rel=1e-12)
+        assert last.sum_secrecy == pytest.approx(rates.sum_secrecy, rel=1e-12, abs=1e-12)
+        assert last.power_used == pytest.approx(total_power(sol.W, sol.Z), rel=1e-12)
 
 
 class TestExtractRankOne:

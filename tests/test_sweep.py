@@ -49,7 +49,10 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             tiny_spec(tmp_path, num_realizations=0)
 
-    @pytest.mark.parametrize("values", [(float("nan"),), (10.0, float("inf"))])
+    # 4000 dBm overflows dbm_to_watts (10 ** 400), and -4000 dBm underflows to 0 W
+    @pytest.mark.parametrize(
+        "values", [(float("nan"),), (10.0, float("inf")), (10.0, 4000.0), (-4000.0,)]
+    )
     def test_powers_must_be_finite(self, tmp_path, values):
         with pytest.raises(ValueError, match="finite"):
             tiny_spec(tmp_path, values=values)
