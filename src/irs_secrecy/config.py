@@ -21,6 +21,12 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) / 1000.0
 
 
+_INTEGER_FIELDS = (
+    "num_users", "num_bs_antennas", "num_irs_elements", "rng_seed", "max_outer_iters",
+    "sca_max_iters",
+)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Geometry, dimensions, powers and solver tolerances for one scenario.
@@ -52,6 +58,14 @@ class ScenarioConfig:
     normalize_noise: bool = True
 
     def __post_init__(self) -> None:
+        # rng_seed 1.0 would hash to other seeds than 1 (derive_seed hashes
+        # the repr), and a bool is an int to Python but not a count or seed
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.normalize_noise, bool):
+            raise ValueError(f"normalize_noise must be a bool, got {self.normalize_noise!r}")
         # NaN fails every comparison below, so it is rejected here first
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):

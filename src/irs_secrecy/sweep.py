@@ -74,17 +74,22 @@ class SweepSpec:
             raise ValueError(
                 "p_max_dbm values must be finite and convert to a finite positive power"
             )
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ValueError("values must be strictly increasing")
         if self.variable == "num_users" and not _positive_integers(values):
             raise ValueError("num_users values must be positive integers")
+        _check_axis("values", values, self.num_realizations)
         object.__setattr__(self, "values", values)
         schemes = tuple(self.schemes)
         if not schemes or any(s not in SCHEMES for s in schemes):
             raise ValueError(f"schemes must be a non-empty subset of {SCHEMES}")
         object.__setattr__(self, "schemes", schemes)
-        if self.num_realizations < 1:
-            raise ValueError("num_realizations must be >= 1")
+
+
+def _check_axis(name: str, values: tuple, num_realizations: int) -> None:
+    """The checks both studies share: increasing values, at least one realization."""
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"{name} must be strictly increasing")
+    if num_realizations < 1:
+        raise ValueError("num_realizations must be >= 1")
 
 
 def _is_power_dbm(value) -> bool:
@@ -143,58 +148,37 @@ def _config_for(spec: SweepSpec, value, seed: int) -> ScenarioConfig:
     return replace(spec.base_config, num_users=int(value), rng_seed=seed)
 
 
-def _start_portfolio(ch: ChannelSet):
-    """Phase initializations tried per run: all-ones plus per-user aligned.
+def _run_one(scheme: str, ch: ChannelSet, cfg: ScenarioConfig):
+    """``(solution, history)`` of one scheme on the channels ``ch``.
 
-    The aligned starts let the alternation commit the surface to a single
-    user when that dominates, which keeps the multiuser-diversity trend
-    intact; the best run (by reported sum secrecy, then objective) wins.
+    The phase-optimizing schemes run from a portfolio of starts: all-ones
+    plus one aligned to each user. The aligned starts let the alternation
+    commit the surface to a single user when that dominates, which keeps the
+    multiuser-diversity trend intact. The best run by reported sum secrecy,
+    then by final objective, wins; ``min`` keeps the first of equal starts.
     """
-    ones = np.ones(ch.num_irs_elements, dtype=complex)
-    return [ones] + [aligned_start(ch, k) for k in range(ch.num_users)]
-
-
-def _best_of_starts(runner, ch: ChannelSet, starts):
-    best = None
-    for u0 in starts:
-        sol, history = runner(u0)
-        breakdown = secrecy_rates(sol, ch)
-        f_final = history.f_trace()[-1]
-        key = (-breakdown.sum_secrecy, f_final)
-        if best is None or key < best[0]:
-            best = (key, sol, history)
-    return best[1], best[2]
-
-
-def _run_one(scheme: str, ch: ChannelSet, cfg: ScenarioConfig, starts):
-    if scheme == "proposed":
-        return _best_of_starts(lambda u0: optimize(ch, cfg, u_init=u0), ch, starts)
     if scheme == "baseline1":
         return baseline_random_phase(ch, cfg)
-    if scheme == "baseline2":
-        return _best_of_starts(lambda u0: baseline_no_an(ch, cfg, u_init=u0), ch, starts)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    solver = {"proposed": optimize, "baseline2": baseline_no_an}[scheme]
+    starts = [np.ones(ch.num_irs_elements, dtype=complex)]
+    starts += [aligned_start(ch, k) for k in range(ch.num_users)]
+    return min(
+        (solver(ch, cfg, u_init=u0) for u0 in starts),
+        key=lambda run: (-secrecy_rates(run[0], ch).sum_secrecy, run[1].f_trace()[-1]),
+    )
 
 
-def _run_row(
-    variable: str,
-    value,
-    label: str,
-    ri: int,
-    seed: int,
-    ch: ChannelSet,
-    run,
-    audit: list | None,
-) -> ResultRow:
-    """One row of results.csv; an exception in ``run()`` becomes an error row.
+def _run_row(variable: str, job: tuple, audit: list | None) -> ResultRow:
+    """One row of results.csv; an exception in the run becomes an error row.
 
-    ``run()`` returns ``(solution, history)`` on the channels ``ch``. When
-    ``audit`` is a list, the run's history and breakdown, or the failure's
-    type and message, are appended to it.
+    ``job`` is ``(value, label, realization, seed, channels, config,
+    scheme)``. When ``audit`` is a list, the run's history and breakdown, or
+    the failure's type and message, are appended to it.
     """
+    value, label, ri, seed, ch, cfg, scheme = job
     t0 = time.perf_counter()
     try:
-        sol, history = run()
+        sol, history = _run_one(scheme, ch, cfg)
         breakdown = secrecy_rates(sol, ch)
         outer = max(r.iteration for r in history.records)
         status = "ok"
@@ -225,33 +209,34 @@ def _run_row(
     )
 
 
+def _run_jobs(
+    variable: str, values, labels, jobs, out_dir, write_audit: bool, plot_name="summary.svg"
+) -> SweepResult:
+    """Run the jobs in order, one row each, then summarize and write the outputs."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    audit = [] if write_audit else None
+    rows = [_run_row(variable, job, audit) for job in jobs]
+    summary_rows = _summarize(variable, values, labels, rows)
+    return _write_outputs(out_dir, rows, summary_rows, audit, plot_name)
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Execute the sweep and write results/summary/timing CSV files and summary.svg."""
-    out_dir = Path(spec.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows: list[ResultRow] = []
-    audit = [] if spec.write_audit else None
+    return _run_jobs(
+        spec.variable, spec.values, spec.schemes, _sweep_jobs(spec), spec.out_dir, spec.write_audit
+    )
+
+
+def _sweep_jobs(spec: SweepSpec):
+    """Jobs in (value, realization, scheme) order; the schemes share each draw."""
     for vi, value in enumerate(spec.values):
         for ri in range(spec.num_realizations):
             seed = derive_seed("channel", spec.base_config.rng_seed, vi, ri)
             cfg = _config_for(spec, value, seed)
             ch = generate_scenario(cfg)
-            starts = _start_portfolio(ch)
             for scheme in spec.schemes:
-                rows.append(
-                    _run_row(
-                        spec.variable,
-                        value,
-                        scheme,
-                        ri,
-                        seed,
-                        ch,
-                        lambda: _run_one(scheme, ch, cfg, starts),
-                        audit,
-                    )
-                )
-    summary_rows = _summarize(spec.variable, spec.values, spec.schemes, rows)
-    return _write_outputs(out_dir, rows, summary_rows, audit)
+                yield value, scheme, ri, seed, ch, cfg, scheme
 
 
 def _summarize(variable: str, values, schemes, rows: list[ResultRow]) -> list[dict]:
@@ -331,40 +316,25 @@ def run_case_study(
     """
     if not k_values or not _positive_integers(k_values):
         raise ValueError("k_values must be positive integers")
+    _check_axis("k_values", k_values, num_realizations)
     base = base_config if base_config is not None else ScenarioConfig()
     base = replace(base, p_max=dbm_to_watts(20.0), r_be=200.0, r_re=250.0)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     k_max = int(max(k_values))
-    labels = [label for label, _, _ in CASE_STUDY_CONFIGS]
-
-    rows: list[ResultRow] = []
+    # one draw per (geometry, realization) at k_max users; the K-user
+    # instance takes the first K, pairing the means across the K axis
+    draws = []
     for label, nt, m in CASE_STUDY_CONFIGS:
         cfg_geom = replace(base, num_bs_antennas=nt, num_irs_elements=m)
         for ri in range(num_realizations):
-            # one draw per realization at k_max users; the K-user instance
-            # takes the first K, pairing the means across the K axis
             seed = derive_seed("case-study", base.rng_seed, label, ri)
-            cfg_full = replace(cfg_geom, num_users=k_max, rng_seed=seed)
-            ch_full = generate_scenario(cfg_full)
-            for k in k_values:
-                cfg = replace(cfg_geom, num_users=int(k), rng_seed=seed)
-                ch = replace(ch_full, g=ch_full.g[: int(k)])
-                starts = _start_portfolio(ch)
-                rows.append(
-                    _run_row(
-                        "num_users",
-                        k,
-                        label,
-                        ri,
-                        seed,
-                        ch,
-                        lambda: _run_one("proposed", ch, cfg, starts),
-                        None,
-                    )
-                )
-
-    # case-study rows are ordered by (value, scheme, realization) for determinism
-    rows.sort(key=lambda r: (r.sweep_value, labels.index(r.scheme), r.realization))
-    summary_rows = _summarize("num_users", k_values, labels, rows)
-    return _write_outputs(out, rows, summary_rows, plot_name="case_study.svg")
+            ch = generate_scenario(replace(cfg_geom, num_users=k_max, rng_seed=seed))
+            draws.append((label, ri, seed, ch, cfg_geom))
+    # rows in (K, geometry, realization) order
+    jobs = (
+        (k, label, ri, seed, replace(ch, g=ch.g[: int(k)]),
+         replace(cfg_geom, num_users=int(k), rng_seed=seed), "proposed")
+        for k in k_values
+        for label, ri, seed, ch, cfg_geom in draws
+    )
+    labels = tuple(label for label, _, _ in CASE_STUDY_CONFIGS)
+    return _run_jobs("num_users", k_values, labels, jobs, out_dir, False, "case_study.svg")

@@ -78,6 +78,16 @@ class TestScenarioConfig:
             ("tol_outer", float("nan")),
             ("tol_manifold", 0.0),
             ("tol_outer", -1e-3),
+            # rng_seed 1.0 drew other channels than 1, True reached numpy as
+            # a user count, and "no" ran with normalized channels
+            ("rng_seed", 1.0),
+            ("num_users", True),
+            ("num_bs_antennas", 4.0),
+            ("num_irs_elements", "4"),
+            ("max_outer_iters", 20.0),
+            ("sca_max_iters", False),
+            ("normalize_noise", "no"),
+            ("normalize_noise", 0),
         ],
     )
     def test_invalid_fields_rejected(self, field, value):

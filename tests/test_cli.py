@@ -82,6 +82,28 @@ class TestSweepCommand:
         assert "error: noise_user must be finite, got nan" in capsys.readouterr().err
         assert not (tmp_path / "out" / "results.csv").exists()
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"rng_seed": 1.0}', "rng_seed must be an integer, got 1.0"),
+            ('{"num_users": true}', "num_users must be an integer, got True"),
+            ('{"normalize_noise": "no"}', "normalize_noise must be a bool, got 'no'"),
+        ],
+    )
+    def test_mistyped_config_rejected(self, tmp_path, capsys, text, message):
+        # 1.0 ran with other channel seeds than 1, true failed inside numpy,
+        # and "no" ran with normalized channels
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text, encoding="utf-8")
+        code = main([
+            "sweep", "--config", str(cfg), "--values", "10",
+            "--schemes", "baseline1", "--realizations", "1",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main([
             "sweep", "--config", str(tmp_path / "absent.json"),
@@ -162,6 +184,26 @@ class TestCaseStudyCommand:
         ])
         assert code == 2
         assert "error: k_values must be positive integers" in capsys.readouterr().err
+        assert not (tmp_path / "case" / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            # "1,1" wrote summary rows that counted 2 realizations from 1
+            (["--values", "1,1"], "k_values must be strictly increasing"),
+            (["--values", "2,1"], "k_values must be strictly increasing"),
+            # 0 printed "(0/0 runs ok)" and wrote empty summary rows
+            (["--values", "1", "--realizations", "0"], "num_realizations must be >= 1"),
+        ],
+    )
+    def test_invalid_study_axis_rejected(self, tmp_path, capsys, args, message):
+        cfg = tiny_config_file(tmp_path)
+        code = main([
+            "case-study", "--config", str(cfg), "--realizations", "1",
+            *args, "--out", str(tmp_path / "case"),
+        ])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "case" / "results.csv").exists()
 
     def test_all_runs_failed_warns_without_plot(self, tmp_path, capsys, monkeypatch):

@@ -1,10 +1,12 @@
 import hashlib
 import json
+from dataclasses import dataclass
 
 import pytest
 
 from irs_secrecy.config import ScenarioConfig
 from irs_secrecy.sweep import (
+    CASE_STUDY_CONFIGS,
     RESULTS_COLUMNS,
     SUMMARY_COLUMNS,
     ResultRow,
@@ -143,6 +145,53 @@ class TestRunSweep:
         assert entries[0]["scheme"] == "baseline1"
         assert "history" not in entries[0]
 
+    # starts 0..2 (all-ones, then aligned to user 0 and 1) report these
+    # (sum_secrecy, final f); the row's outer_iterations names the kept start
+    @pytest.mark.parametrize(
+        "scores,kept",
+        [
+            ([(1.0, -1.0)] * 3, 0),                      # all equal: the first
+            ([(1.0, -1.0), (1.0, -2.0), (1.0, -2.0)], 1),  # tie on secrecy: lower f
+            ([(1.0, -1.0), (1.0, -1.0), (2.0, 5.0)], 2),   # higher secrecy wins
+        ],
+    )
+    def test_portfolio_keeps_first_of_equal_starts(self, tmp_path, monkeypatch, scores, kept):
+        import irs_secrecy.sweep as sweep_mod
+
+        @dataclass
+        class Record:
+            iteration: int
+
+        @dataclass
+        class Breakdown:
+            sum_secrecy: float
+            secrecy: list
+
+        class History:
+            def __init__(self, start):
+                self.records = [Record(start)]
+
+            def f_trace(self):
+                return [scores[self.records[0].iteration][1]]
+
+        calls = []
+
+        def fake_optimize(ch, cfg, u_init):
+            calls.append(u_init)
+            return len(calls) - 1, History(len(calls) - 1)
+
+        def fake_rates(sol, ch):
+            return Breakdown(scores[sol][0], [scores[sol][0]])
+
+        monkeypatch.setitem(sweep_mod.__dict__, "optimize", fake_optimize)
+        monkeypatch.setitem(sweep_mod.__dict__, "secrecy_rates", fake_rates)
+        spec = tiny_spec(tmp_path, values=(10.0,), schemes=("proposed",), num_realizations=1)
+        result = run_sweep(spec)
+        assert len(calls) == 3  # all-ones plus one aligned start per user
+        assert result.rows[0].status == "ok"
+        assert result.rows[0].outer_iterations == kept
+        assert result.rows[0].sum_secrecy == scores[kept][0]
+
 
 def hand_rows(sweep_value):
     ok = ResultRow(
@@ -228,6 +277,37 @@ class TestCaseStudy:
         assert all(line.split(",")[3] == "0" for line in summary)
         assert result.plot_path is None  # nothing to plot
         assert not list((tmp_path / "case").glob("*.svg"))
+
+    def test_rows_ordered_by_user_count_geometry_realization(self, tmp_path, monkeypatch):
+        import irs_secrecy.sweep as sweep_mod
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setitem(sweep_mod.__dict__, "optimize", boom)
+        result = run_case_study(
+            TINY, str(tmp_path / "case"), num_realizations=2, k_values=(1, 3)
+        )
+        assert [(r.sweep_value, r.scheme, r.realization) for r in result.rows] == [
+            (k, label, ri)
+            for k in (1, 3)
+            for label, _, _ in CASE_STUDY_CONFIGS
+            for ri in range(2)
+        ]
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            (dict(k_values=(1, 1)), "k_values must be strictly increasing"),
+            (dict(k_values=(2, 1)), "k_values must be strictly increasing"),
+            (dict(num_realizations=0), "num_realizations must be >= 1"),
+        ],
+    )
+    def test_invalid_axis_rejected(self, tmp_path, kwargs, message):
+        kwargs = {"num_realizations": 1, "k_values": (1,), **kwargs}
+        with pytest.raises(ValueError, match=message):
+            run_case_study(TINY, str(tmp_path / "case"), **kwargs)
+        assert not (tmp_path / "case").exists()
 
     def test_channels_nested_across_user_counts(self, tmp_path):
         # same realization at different K shares the underlying draw, so the
