@@ -25,6 +25,11 @@ _INTEGER_FIELDS = (
     "num_users", "num_bs_antennas", "num_irs_elements", "rng_seed", "max_outer_iters",
     "sca_max_iters",
 )
+_REAL_FIELDS = (
+    "p_max", "noise_user", "noise_eve", "cell_radius", "r_be", "r_re", "bs_irs_distance",
+    "pl0_db", "pl_exp_bs_irs", "pl_exp_irs_user", "pl_exp_irs_eve", "tol_manifold",
+    "tol_outer",
+)
 
 
 @dataclass(frozen=True)
@@ -59,13 +64,18 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         # rng_seed 1.0 would hash to other seeds than 1 (derive_seed hashes
-        # the repr), and a bool is an int to Python but not a count or seed
+        # the repr), and a bool is an int to Python but not a count, a seed
+        # or a power
         for name in _INTEGER_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.normalize_noise, bool):
             raise ValueError(f"normalize_noise must be a bool, got {self.normalize_noise!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         # NaN fails every comparison below, so it is rejected here first
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):

@@ -83,7 +83,7 @@ class TransmitSolution:
 @dataclass
 class HistoryRecord:
     iteration: int
-    phase: str                      # "init" | "sca" | "manifold"
+    phase: str                      # "init" | "extrapolate" | "sca" | "manifold"
     f: float
     power_used: float
     sum_secrecy: float | None = None

@@ -102,7 +102,11 @@ def _is_power_dbm(value) -> bool:
 
 
 def _positive_integers(values) -> bool:
-    return all(float(v).is_integer() and v >= 1 for v in values)
+    # a bool passes float(v).is_integer() but is not a user count
+    return all(
+        not isinstance(v, (bool, np.bool_)) and float(v).is_integer() and v >= 1
+        for v in values
+    )
 
 
 @dataclass

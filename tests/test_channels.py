@@ -88,11 +88,23 @@ class TestScenarioConfig:
             ("sca_max_iters", False),
             ("normalize_noise", "no"),
             ("normalize_noise", 0),
+            # True was accepted as 1 W, and "10" failed inside a comparison
+            ("p_max", True),
+            ("noise_user", True),
+            ("noise_eve", False),
+            ("p_max", "10"),
+            ("cell_radius", None),
+            ("pl0_db", [30.0]),
+            ("tol_outer", 1e-3j),
         ],
     )
     def test_invalid_fields_rejected(self, field, value):
         with pytest.raises(ValueError):
             ScenarioConfig(**{field: value})
+
+    def test_float_fields_take_ints_and_numpy_floats(self):
+        cfg = ScenarioConfig(p_max=10, noise_user=np.float64(1e-14), pl_exp_bs_irs=2)
+        assert cfg.p_max == 10 and cfg.noise_user == 1e-14
 
     def test_json_round_trip(self):
         cfg = ScenarioConfig(num_users=2, rng_seed=99, r_re=310.0)

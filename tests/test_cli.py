@@ -88,6 +88,9 @@ class TestSweepCommand:
             ('{"rng_seed": 1.0}', "rng_seed must be an integer, got 1.0"),
             ('{"num_users": true}', "num_users must be an integer, got True"),
             ('{"normalize_noise": "no"}', "normalize_noise must be a bool, got 'no'"),
+            # true ran with 1 W of noise, and "10" failed inside a comparison
+            ('{"noise_user": true}', "noise_user must be a real number, got True"),
+            ('{"p_max": "10"}', "p_max must be a real number, got '10'"),
         ],
     )
     def test_mistyped_config_rejected(self, tmp_path, capsys, text, message):

@@ -63,6 +63,14 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             tiny_spec(tmp_path, variable="num_users", values=(1.5, 2.0))
 
+    def test_user_counts_reject_bools(self, tmp_path):
+        # True passed as one user and failed only when the plot read the CSV
+        with pytest.raises(ValueError, match="num_users values must be positive integers"):
+            tiny_spec(tmp_path, variable="num_users", values=(True, 2))
+        with pytest.raises(ValueError, match="k_values must be positive integers"):
+            run_case_study(TINY, str(tmp_path / "case"), num_realizations=1, k_values=(True, 2))
+        assert not (tmp_path / "case").exists()
+
 
 class TestRunSweep:
     def test_counting_contract(self, tmp_path):
