@@ -74,8 +74,9 @@ class ChannelSet:
             raise ValueError(f"g rows must have length M={m}, got {g.shape[1]}")
         if l.shape[0] != m:
             raise ValueError(f"l must have length M={m}, got {l.shape[0]}")
-        if self.noise_user <= 0 or self.noise_eve <= 0:
-            raise ValueError("noise powers must be positive")
+        # written so that NaN fails the test
+        if not (0 < self.noise_user < np.inf and 0 < self.noise_eve < np.inf):
+            raise ValueError("noise powers must be positive and finite")
         G = np.einsum("km,mn->kmn", np.conj(g), H)
         L = np.conj(l)[:, None] * H
         for arr in (H, g, l, G, L):

@@ -7,6 +7,13 @@ arguments stay >= the noise constants on the feasible set), so projected
 gradient steps with Armijo backtracking converge without any further cone
 machinery.
 
+The solver works on one real vector x: the stack (W_1, ..., W_K, Z) of
+N x N blocks, flattened and viewed as interleaved (re, im) pairs. For
+complex L and X, Re<L, X> is then the dot product of their real views, and
+for Hermitian A, tr(A X) = Re<A, X>; so every log argument is one real row
+times x, and the objective, its gradient and every inner product are plain
+real matrix-vector products.
+
 The constraint set is spectral, which makes the exact Euclidean projection
 cheap (eigenvalue clip plus a water-filling shift when the power budget
 binds); :func:`solve` uses it so that the gradient mapping vanishes exactly
@@ -15,6 +22,7 @@ Armijo search (spectral projected gradient).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -38,38 +46,78 @@ class InnerSolverError(RuntimeError):
     """Raised when a numerical failure has to propagate with context."""
 
 
+def _flatten(W: np.ndarray, Z: np.ndarray, an_enabled: bool = True) -> np.ndarray:
+    """x for (W, Z): the stack W_1..W_K, Z as one real vector of (re, im)
+    pairs. Without AN, Z is pinned to 0 and x stops before its block."""
+    blocks = np.concatenate([W, Z[None]]) if an_enabled else np.ascontiguousarray(W)
+    return blocks.astype(complex, copy=False).reshape(-1).view(float)
+
+
 @dataclass
 class SubproblemSpec:
-    """Data of one convexified subproblem.
+    """Data of one convexified subproblem, over x (see the module docstring).
 
-    a_mats : (K, N, N) Gram matrices A_k = h_k h_k^H of the user links
-    b_mat  : (N, N) Gram matrix of the eavesdropper link
-    lin_w, lin_z : gradients of the subtracted affine underestimator
+    rows : (K + 1, 2 (K + 1) N^2) real rows of the F1 and F2 log arguments:
+           rows[k] @ x + noise_user = n_k = tr(A_k (sum_r W_r + Z)) + s2_u,
+           with A_k = h_k h_k^H in every block of row k, and
+           rows[K] @ x + noise_eve = m = tr(B Z) + s2_e, with B = b b^H in
+           the Z block
+    lin  : (2 (K + 1) N^2,) real gradient of the subtracted affine
+           underestimator of G1 + G2
     affine_const : its value at W = 0, Z = 0
     an_enabled   : when False, Z is pinned to the zero matrix
 
-    All four matrices are complex Hermitian; they are used as given.
+    ``a_mats`` (K, N, N), ``b_mat`` (N, N), ``lin_w`` (K, N, N) and
+    ``lin_z`` (N, N) are complex Hermitian views of the same data.
     """
 
-    a_mats: np.ndarray
+    rows: np.ndarray
     noise_user: float
-    b_mat: np.ndarray
     noise_eve: float
-    lin_w: np.ndarray
-    lin_z: np.ndarray
+    lin: np.ndarray
     affine_const: float
     p_max: float
     an_enabled: bool = True
+    # per-row log weights, noise constants and log-domain guards
+    weights: np.ndarray = field(init=False, repr=False)
+    consts: np.ndarray = field(init=False, repr=False)
+    guard: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.noise_user <= 0 or self.noise_eve <= 0:
-            raise ValueError("noise constants must be positive")
-        if self.p_max < 0:
-            raise ValueError("p_max must be non-negative")
+        # written so that NaN fails every test
+        if not (0.0 < self.noise_user < math.inf and 0.0 < self.noise_eve < math.inf):
+            raise ValueError("noise constants must be positive and finite")
+        if not 0.0 <= self.p_max < math.inf:
+            raise ValueError(f"p_max must be non-negative and finite, got {self.p_max}")
+        k = self.num_users
+        self.weights = np.append(np.ones(k), float(k))
+        self.consts = np.append(np.full(k, float(self.noise_user)), self.noise_eve)
+        self.guard = LOG_GUARD * self.consts
 
     @property
     def num_users(self) -> int:
-        return self.a_mats.shape[0]
+        return self.rows.shape[0] - 1
+
+    def _blocks(self, flat: np.ndarray) -> np.ndarray:
+        """(..., K + 1, N, N) complex view of real vectors over x."""
+        n = math.isqrt(flat.shape[-1] // (2 * self.rows.shape[0]))
+        return flat.view(complex).reshape(*flat.shape[:-1], -1, n, n)
+
+    @property
+    def a_mats(self) -> np.ndarray:
+        return self._blocks(self.rows[:-1])[:, 0]
+
+    @property
+    def b_mat(self) -> np.ndarray:
+        return self._blocks(self.rows[-1])[-1]
+
+    @property
+    def lin_w(self) -> np.ndarray:
+        return self._blocks(self.lin)[:-1]
+
+    @property
+    def lin_z(self) -> np.ndarray:
+        return self._blocks(self.lin)[-1]
 
 
 @dataclass
@@ -87,55 +135,38 @@ class SolverReport:
     eigenvalues: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
-def _log_args(spec: SubproblemSpec, W: np.ndarray, Z: np.ndarray):
-    """n_k = tr(A_k (sum_r W_r + Z)) + s2_u for every k, and m = tr(B Z) + s2_e.
-
-    For Hermitian A_k, tr(A_k X) = Re <A_k, X>, so the K traces are one real
-    matmul of the flattened Gram stack against X viewed as (re, im) pairs.
-    """
-    x = np.asarray(W.sum(axis=0) + Z, dtype=complex)
-    n = _real_rows(spec.a_mats) @ x.reshape(-1).view(float) + spec.noise_user
-    m = np.vdot(spec.b_mat, Z).real + spec.noise_eve
-    return n, m
-
-
-def _real_rows(mats: np.ndarray) -> np.ndarray:
-    """(K, N, N) complex stack as K real rows of interleaved (re, im) entries."""
-    return mats.reshape(mats.shape[0], -1).view(float)
-
-
-def _objective(spec: SubproblemSpec, W, Z, n, m) -> float:
-    if (n <= LOG_GUARD * spec.noise_user).any() or m <= LOG_GUARD * spec.noise_eve:
-        return np.inf
-    lin = np.vdot(spec.lin_w, W).real + np.vdot(spec.lin_z, Z).real
-    return float(
-        -np.log2(n).sum() - spec.num_users * np.log2(m) - (spec.affine_const + lin)
-    )
-
-
-def _gradient(spec: SubproblemSpec, n, m):
-    coef = 1.0 / (LN2 * n)
-    s_a = (coef @ _real_rows(spec.a_mats)).view(complex).reshape(spec.b_mat.shape)
-    g_w = -s_a[None, :, :] - spec.lin_w
-    g_z = -s_a - (spec.num_users / (LN2 * m)) * spec.b_mat - spec.lin_z
-    return g_w, g_z
+def _evaluate(spec: SubproblemSpec, x: np.ndarray):
+    """(F1/F2 log arguments, objective) at x; the objective is +inf outside
+    the log domain guard. Without AN, x and the rows it meets stop before
+    the Z block."""
+    v = spec.rows[:, : x.size].dot(x) + spec.consts
+    if (v <= spec.guard).any():
+        return v, np.inf
+    lin_x = spec.lin[: x.size].dot(x)
+    return v, float(-spec.weights.dot(np.log2(v)) - spec.affine_const - lin_x)
 
 
 def subproblem_objective(spec: SubproblemSpec, W: np.ndarray, Z: np.ndarray) -> float:
-    """F1 + F2 minus the affine part; +inf outside the log domain guard."""
-    return _objective(spec, W, Z, *_log_args(spec, W, Z))
+    """F1 + F2 minus the affine part; +inf outside the log domain guard.
+
+    Without AN, Z is pinned to 0 and not read.
+    """
+    return _evaluate(spec, _flatten(W, Z, spec.an_enabled))[1]
 
 
 def subproblem_gradient(spec: SubproblemSpec, W: np.ndarray, Z: np.ndarray):
     """Hermitian gradients (dW, dZ) of the subproblem objective."""
-    return _gradient(spec, *_log_args(spec, W, Z))
+    v = spec.rows.dot(_flatten(W, Z)) + spec.consts
+    blocks = spec._blocks(-(spec.weights / (LN2 * v)).dot(spec.rows) - spec.lin)
+    return blocks[:-1], blocks[-1]
 
 
-def _project_exact(W: np.ndarray, Z: np.ndarray, p_max: float, an_enabled: bool):
-    """Exact Euclidean projection onto {W_k, Z PSD, total trace <= p_max}.
+def _project_exact(stack: np.ndarray, p_max: float):
+    """Exact Euclidean projection onto {every block PSD, total trace <= p_max}.
 
-    Returns the projected W and Z and the (K + 1, N) eigenvalues it assigned
-    to W_1..W_K, Z (a zero row for Z when AN is off), ascending per matrix.
+    ``stack`` is the (S, N, N) stack of Hermitian blocks: W_1..W_K, then Z
+    when AN is on. Returns the projected stack and the (S, N) eigenvalues it
+    assigned, ascending per block.
 
     The constraint is spectral, so the projection diagonalizes each block and
     projects the concatenated eigenvalue vector onto the simplex-with-budget
@@ -144,15 +175,16 @@ def _project_exact(W: np.ndarray, Z: np.ndarray, p_max: float, an_enabled: bool)
     before clipping. Unlike the radial surrogate this map fixes every KKT
     point, which keeps projected-gradient steps descent directions.
     """
-    stack = np.concatenate([W, Z[None]], axis=0) if an_enabled else W
     # eigh reads one triangle, so the stack needs no explicit symmetrization
     vals, vecs = np.linalg.eigh(stack)
     clipped = np.maximum(vals, 0.0)
     if clipped.sum() > p_max:
-        flat = np.sort(vals, axis=None)[::-1]
+        flat = vals.flatten()
+        flat.sort()
+        flat = flat[::-1]
         cumsum = flat.cumsum()
         level = (cumsum - p_max) / np.arange(1, flat.size + 1)
-        active = np.flatnonzero(flat > level)
+        active = (flat > level).nonzero()[0]
         lam = level[active[-1]] if active.size else cumsum[-1] - p_max
         clipped = np.maximum(vals - lam, 0.0)
         # vals - lam cancels when the eigenvalues dwarf the budget (a long
@@ -160,10 +192,7 @@ def _project_exact(W: np.ndarray, Z: np.ndarray, p_max: float, an_enabled: bool)
         total = clipped.sum()
         if total > 0.0:
             clipped *= p_max / total
-    out = (vecs * clipped[:, None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
-    if an_enabled:
-        return out[:-1], out[-1], clipped
-    return out, np.zeros_like(Z), np.concatenate([clipped, np.zeros((1, Z.shape[0]))])
+    return (vecs * clipped[:, None, :]) @ vecs.conj().swapaxes(-1, -2), clipped
 
 
 def solve(
@@ -187,7 +216,9 @@ def solve(
     almost every BB step below 1. The gradient of each accepted point is
     computed once and serves both <s, y> and the next iteration. The start
     is used as given, neither projected nor symmetrized again:
-    ``start.validate`` has accepted it.
+    ``start.validate`` has accepted it. The iterate is x over the blocks
+    W_1..W_K (and Z when AN is on; without AN the start's Z is not read and
+    Z stays 0), and W and Z are split from it once, at exit.
 
     Stops when the unit-step gradient-mapping norm ||X - P(X - grad)||
     drops below ``tol * (1 + |objective|)``. ``step_size`` is the first
@@ -209,10 +240,26 @@ def solve(
         eigs = start.validate(spec.p_max)
     except ValueError as exc:
         raise ValueError(f"infeasible start: {exc}") from None
-    W, Z = start.W, start.Z
-    n, m = _log_args(spec, W, Z)
-    q = _objective(spec, W, Z, n, m)
-    g_w, g_z = _gradient(spec, n, m)
+    k, n = spec.num_users, start.Z.shape[0]
+    x = _flatten(start.W, start.Z, spec.an_enabled)
+    # without AN, x stops before the Z block and so do the rows it meets
+    rows, lin, weights = spec.rows[:, : x.size], spec.lin[: x.size], spec.weights
+
+    def project(y):
+        out, vals = _project_exact(y.view(complex).reshape(-1, n, n), spec.p_max)
+        return out.reshape(-1).view(float), vals
+
+    def gradient(v):
+        return -(weights / (LN2 * v)).dot(rows) - lin
+
+    def unit_step_residual(g):
+        # norm of the gradient mapping at unit reference step; zero exactly
+        # at KKT points of the subproblem
+        d = project(x - g)[0] - x
+        return float(np.sqrt(d.dot(d)))
+
+    v, q = _evaluate(spec, x)
+    g = gradient(v)
     delta = min(max(step_size, 1.0), 1e8)
     step_norm = 0.0
     residual = np.inf
@@ -221,30 +268,19 @@ def solve(
     entry = True  # the next trial is the first one, with delta >= 1
     check_residual = False
 
-    def _sq_norm(a_w, a_z):
-        return float(np.vdot(a_w, a_w).real + np.vdot(a_z, a_z).real)
-
-    def _unit_step_residual(g_w, g_z):
-        # norm of the gradient mapping at unit reference step; zero exactly
-        # at KKT points of the subproblem
-        Wr, Zr, _ = _project_exact(W - g_w, Z - g_z, spec.p_max, spec.an_enabled)
-        return float(np.sqrt(_sq_norm(Wr - W, Zr - Z)))
-
     for iterations in range(1, max_iters + 1):
         if check_residual:
-            residual = _unit_step_residual(g_w, g_z)
+            residual = unit_step_residual(g)
             if residual <= tol * (1.0 + abs(q)):
                 status = SolverStatus.CONVERGED
                 break
-        x_norm = float(np.sqrt(_sq_norm(W, Z)))
+        x_norm = float(np.sqrt(x.dot(x)))
         accepted = False
         stopped = False
         for _ in range(MAX_BACKTRACKS):
-            Wt, Zt, eigs_t = _project_exact(
-                W - delta * g_w, Z - delta * g_z, spec.p_max, spec.an_enabled
-            )
-            s_w, s_z = Wt - W, Zt - Z
-            step_sq = _sq_norm(s_w, s_z)
+            xt, eigs_t = project(x - delta * g)
+            s = xt - x
+            step_sq = float(s.dot(s))
             step = np.sqrt(step_sq)
             if entry and step <= tol * (1.0 + abs(q)):
                 # the displacement ||X - P(X - t grad)|| grows with t, so at
@@ -260,8 +296,7 @@ def solve(
                 status = SolverStatus.CONVERGED
                 stopped = True
                 break
-            nt, mt = _log_args(spec, Wt, Zt)
-            qt = _objective(spec, Wt, Zt, nt, mt)
+            vt, qt = _evaluate(spec, xt)
             if qt <= q - (ARMIJO_C / delta) * step_sq:
                 accepted = True
                 break
@@ -270,7 +305,7 @@ def solve(
             break
         if not accepted:
             # distinguish float-level stationarity from a genuine failure
-            residual = _unit_step_residual(g_w, g_z)
+            residual = unit_step_residual(g)
             status = (
                 SolverStatus.CONVERGED
                 if residual <= 10.0 * tol * (1.0 + abs(q))
@@ -282,11 +317,16 @@ def solve(
         # unit-step residual next round (a huge step size can fake smallness)
         residual = step_norm / delta
         check_residual = residual <= tol * (1.0 + abs(qt))
-        gt_w, gt_z = _gradient(spec, nt, mt)
-        sy = float(np.vdot(s_w, gt_w - g_w).real + np.vdot(s_z, gt_z - g_z).real)
+        gt = gradient(vt)
+        sy = float(s.dot(gt - g))
         delta = min(max(step_sq / sy, 1e-8), 1e8) if sy > 0.0 else 1e8
-        W, Z, q, g_w, g_z, eigs = Wt, Zt, qt, gt_w, gt_z, eigs_t
+        x, q, g, eigs = xt, qt, gt, eigs_t
 
+    blocks = x.view(complex).reshape(-1, n, n)
+    W = blocks[:k]
+    Z = blocks[k] if spec.an_enabled else np.zeros((n, n), dtype=complex)
+    if eigs.shape[0] == k:  # projected without AN: Z's eigenvalues are 0
+        eigs = np.concatenate([eigs, np.zeros((1, n))])
     report = SolverReport(
         objective=q,
         iterations=iterations,

@@ -37,17 +37,12 @@ def effective_eve_channel(ch: ChannelSet, u: np.ndarray) -> np.ndarray:
 def _log_arguments(W, Z, u, ch):
     """Per-user numerators/denominators of the SINR and eavesdropper terms.
 
-    Returns (n, d, e, m): n_k and d_k are the F1/G1 log arguments, e_k and m
-    the G2/F2 ones, computed so that n_k = d_k + signal_k and e_k = m + leak_k
-    hold exactly in floating point.
+    Returns (n, d, e, m, signal): n_k and d_k are the F1/G1 log arguments,
+    e_k and m the G2/F2 ones, and signal_k = tr(W_k A_k), computed so that
+    n_k = d_k + signal_k and e_k = m + leak_k hold exactly in floating point.
     """
     h = effective_user_channels(ch, u)
     b = effective_eve_channel(ch, u)
-    return _log_arguments_at(W, Z, h, b, ch)
-
-
-def _log_arguments_at(W, Z, h, b, ch):
-    """:func:`_log_arguments` from precomputed effective channels h_k and b."""
     # S[k, r] = tr(W_r A_k) = h_k^H W_r h_k
     S = np.einsum("kn,rnp,kp->kr", np.conj(h), W, h).real
     zq = np.einsum("kn,np,kp->k", np.conj(h), Z, h).real

@@ -73,12 +73,19 @@ def _extrapolate(prev, sol, f_now, ch, p_max, an_enabled):
     """
     phi = -np.angle(sol.u)
     d_phi = np.angle(prev.u * np.conj(sol.u))  # phi - phi_prev, wrapped
-    d_W, d_Z = sol.W - prev.W, sol.Z - prev.Z
+    k = sol.num_users
+
+    def blocks(s):  # the projection's stack: W_1..W_K, then Z when AN is on
+        return np.concatenate([s.W, s.Z[None]]) if an_enabled else s.W
+
+    x = blocks(sol)
+    d_x = x - blocks(prev)
     best = None
     beta = 1
     while beta <= EXTRAPOLATION_MAX_WEIGHT:
-        W, Z, _ = _project_exact(sol.W + beta * d_W, sol.Z + beta * d_Z, p_max, an_enabled)
-        trial = TransmitSolution(W=W, Z=Z, u=from_phases(phi + beta * d_phi))
+        out, _ = _project_exact(x + beta * d_x, p_max)
+        Z = out[k] if an_enabled else sol.Z
+        trial = TransmitSolution(W=out[:k], Z=Z, u=from_phases(phi + beta * d_phi))
         rates = secrecy_rates(trial, ch)
         if not rates.f < f_now:
             break

@@ -16,39 +16,91 @@ import numpy as np
 
 from . import convex_inner
 from .channels import ChannelSet
-from .convex_inner import InnerSolverError, SolverStatus, SubproblemSpec
-from .metrics import (
-    LN2,
-    _breakdown,
-    _log_arguments_at,
-    effective_eve_channel,
-    effective_user_channels,
-)
+from .convex_inner import InnerSolverError, SolverStatus, SubproblemSpec, _flatten
+from .metrics import LN2, _breakdown, effective_eve_channel, effective_user_channels
 from .solution import HistoryRecord, RunHistory, TransmitSolution, hermitize, total_power
 
 
-def _linearize(W: np.ndarray, Z: np.ndarray, u: np.ndarray, ch: ChannelSet):
-    """A_k = h_k h_k^H and B = b b^H at phases u, and (value, grad_w, grad_z)
-    of G1 and of G2 at (W, Z), from one pass over the channels."""
-    h = effective_user_channels(ch, u)
-    b = effective_eve_channel(ch, u)
-    _, d, e, _, _ = _log_arguments_at(W, Z, h, b, ch)
-    return _expand(h, b, d, e)
+def _term_rows(h: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Real rows over x of the channel terms of every log argument.
+
+    x is the (W_1, ..., W_K, Z) stack of r x r blocks as one real vector of
+    (re, im) pairs (``convex_inner._flatten``), and tr(A X) = Re<A, X> is
+    the dot product of real views for Hermitian A. With A_k = h_k h_k^H and
+    B = b b^H, the (3K + 1, 2 (K + 1) r^2) rows give, times x:
+    signal_k = tr(A_k W_k) (rows 0..K-1), the interference
+    d_k - s2_u = sum_{r != k} tr(A_k W_r) + tr(A_k Z) (rows K..2K-1),
+    leak_k = tr(B W_k) (rows 2K..3K-1) and m - s2_e = tr(B Z) (row 3K).
+    """
+    k, r = h.shape
+    a = np.einsum("kn,kp->knp", h, np.conj(h)).reshape(k, -1).view(float)
+    bb = np.outer(b, np.conj(b)).reshape(-1).view(float)
+    users = np.arange(k)
+    rows = np.zeros((3 * k + 1, k + 1, 2 * r * r))
+    rows[users, users] = a
+    rows[k : 2 * k] = a[:, None, :]
+    rows[k + users, users] = 0.0
+    rows[2 * k + users, users] = bb
+    rows[3 * k, k] = bb
+    return rows.reshape(3 * k + 1, -1)
 
 
-def _expand(h: np.ndarray, b: np.ndarray, d: np.ndarray, e: np.ndarray):
-    """:func:`_linearize` from the channels and the G1, G2 log arguments d, e."""
+def _term_log_arguments(rows: np.ndarray, x: np.ndarray, ch: ChannelSet):
+    """(n, d, e, m, signal) at x, as ``metrics._log_arguments`` returns them.
+
+    n = d + signal and e = m + leak are formed by addition, so they hold
+    exactly in floating point.
+    """
+    k = (rows.shape[0] - 1) // 3
+    v = rows.dot(x)
+    signal = v[:k]
+    d = v[k : 2 * k] + ch.noise_user
+    m = v[3 * k] + ch.noise_eve
+    return d + signal, d, m + v[2 * k : 3 * k], m, signal
+
+
+def _linearize(rows: np.ndarray, logs):
+    """(value, real gradient over x) of G1 and of G2 at the point of ``logs``.
+
+    G1 = -sum_k log2(d_k) and G2 = -sum_k log2(e_k); both gradients come
+    from one product of their (2, 3K + 1) row coefficients with the rows.
+    """
+    _, d, e, _, _ = logs
     if not ((d > 0).all() and (e > 0).all()):  # a NaN argument fails too
         raise ValueError("non-positive log argument in G1 or G2")
-    a_mats = np.einsum("kn,kp->knp", h, np.conj(h))
-    b_mat = np.outer(b, np.conj(b))
-    c1, c2 = 1.0 / (LN2 * d), 1.0 / (LN2 * e)
-    g1_z = -np.einsum("k,knp->np", c1, a_mats)
-    # W_r is absent from its own d_r, so its gradient adds that term back
-    g1_w = g1_z[None, :, :] + c1[:, None, None] * a_mats
-    g1 = (-float(np.log2(d).sum()), g1_w, g1_z)
-    g2 = (-float(np.log2(e).sum()), -c2[:, None, None] * b_mat, -c2.sum() * b_mat)
-    return a_mats, b_mat, g1, g2
+    k = d.shape[0]
+    coef = np.zeros((2, 3 * k + 1))
+    coef[0, k : 2 * k] = -1.0 / (LN2 * d)
+    c2 = -1.0 / (LN2 * e)
+    coef[1, 2 * k : 3 * k] = c2
+    coef[1, 3 * k] = c2.sum()  # e_k = m + leak_k: every e_k holds tr(B Z)
+    g1, g2 = coef.dot(rows)
+    return (-float(np.log2(d).sum()), g1), (-float(np.log2(e).sum()), g2)
+
+
+def _affine_part(rows: np.ndarray, x: np.ndarray, logs):
+    """(lin, affine_const) of the G1 + G2 underestimator, tight at x."""
+    (value1, lin1), (value2, lin2) = _linearize(rows, logs)
+    lin = lin1 + lin2
+    return lin, value1 + value2 - float(lin.dot(x))
+
+
+def _expansion(W: np.ndarray, Z: np.ndarray, u: np.ndarray, ch: ChannelSet):
+    """Term rows at phases u, x for (W, Z), and the log arguments there."""
+    rows = _term_rows(effective_user_channels(ch, u), effective_eve_channel(ch, u))
+    x = _flatten(W, Z)
+    return rows, x, _term_log_arguments(rows, x, ch)
+
+
+def _gradients(W, Z, u, ch: ChannelSet):
+    """:func:`_linearize` at (W, Z), each gradient as complex (grad_w, grad_z)."""
+    rows, _, logs = _expansion(W, Z, u, ch)
+    n = W.shape[-1]
+    out = []
+    for value, grad in _linearize(rows, logs):
+        blocks = grad.view(complex).reshape(-1, n, n)
+        out.append((value, blocks[:-1], blocks[-1]))
+    return out
 
 
 def grad_G1(W: np.ndarray, Z: np.ndarray, u: np.ndarray, ch: ChannelSet):
@@ -57,14 +109,12 @@ def grad_G1(W: np.ndarray, Z: np.ndarray, u: np.ndarray, ch: ChannelSet):
     G1 = -sum_k log2(d_k) with d_k the interference-plus-noise term of user
     k, so dG1/dW_r = -sum_{k != r} A_k / (ln2 d_k) and dG1/dZ sums over all k.
     """
-    _, _, (_, g_w, g_z), _ = _linearize(W, Z, u, ch)
-    return g_w, g_z
+    return _gradients(W, Z, u, ch)[0][1:]
 
 
 def grad_G2(W: np.ndarray, Z: np.ndarray, u: np.ndarray, ch: ChannelSet):
     """Gradients of G2 wrt each W_k and Z; per-user denominators e_k."""
-    _, _, _, (_, g_w, g_z) = _linearize(W, Z, u, ch)
-    return g_w, g_z
+    return _gradients(W, Z, u, ch)[1][1:]
 
 
 @dataclass
@@ -84,11 +134,11 @@ class Linearization:
 
 
 def linearize_g1(W, Z, u, ch: ChannelSet) -> Linearization:
-    return Linearization(W.copy(), Z.copy(), *_linearize(W, Z, u, ch)[2])
+    return Linearization(W.copy(), Z.copy(), *_gradients(W, Z, u, ch)[0])
 
 
 def linearize_g2(W, Z, u, ch: ChannelSet) -> Linearization:
-    return Linearization(W.copy(), Z.copy(), *_linearize(W, Z, u, ch)[3])
+    return Linearization(W.copy(), Z.copy(), *_gradients(W, Z, u, ch)[1])
 
 
 def build_subproblem(
@@ -105,24 +155,20 @@ def build_subproblem(
     The point's feasibility is checked by :func:`convex_inner.solve`; only
     its Hermitian part is read, so it is not symmetrized.
     """
-    return _subproblem(W_i, Z_i, _linearize(W_i, Z_i, u, ch), ch, p_max, an_enabled)
+    rows, x, logs = _expansion(W_i, Z_i, u, ch)
+    return _subproblem(rows, x, logs, ch, p_max, an_enabled)
 
 
-def _subproblem(W_i, Z_i, expansion, ch: ChannelSet, p_max: float, an_enabled: bool):
-    """:func:`build_subproblem` from the :func:`_linearize` output at (W_i, Z_i)."""
-    # the same values as linearize_g1 + linearize_g2, from one pass
-    a_mats, b_mat, (g1, g1_w, g1_z), (g2, g2_w, g2_z) = expansion
-    lin_w = g1_w + g2_w
-    lin_z = g1_z + g2_z
-    affine_const = g1 + g2 - np.vdot(lin_w, W_i).real - np.vdot(lin_z, Z_i).real
+def _subproblem(rows, x, logs, ch: ChannelSet, p_max: float, an_enabled: bool):
+    """:func:`build_subproblem` from the term rows, x and the log arguments."""
+    k = (rows.shape[0] - 1) // 3
+    # the spec's rows are n_k - s2_u = signal_k + (d_k - s2_u), exact because
+    # the two rows have disjoint blocks, and m - s2_e
     return SubproblemSpec(
-        a_mats=a_mats,
-        noise_user=ch.noise_user,
-        b_mat=b_mat,
-        noise_eve=ch.noise_eve,
-        lin_w=lin_w,
-        lin_z=lin_z,
-        affine_const=float(affine_const),
+        np.concatenate([rows[:k] + rows[k : 2 * k], rows[3 * k :]]),
+        ch.noise_user,
+        ch.noise_eve,
+        *_affine_part(rows, x, logs),
         p_max=p_max,
         an_enabled=an_enabled,
     )
@@ -199,14 +245,21 @@ def run_sca(
     power (Jorswieck, Larsson & Danev, IEEE TSP 2008). When K + 1 < N_T the
     loop runs on Q^H X Q, with Q an orthonormal basis of S, and the returned
     W_k and Z are lifted back as Q Y Q^H: they lie in S, and a start outside
-    S is replaced by its projection onto S. Each record carries f and
-    sum_secrecy of its iterate, from the same log arguments that linearize
-    the next round.
+    S is replaced by its projection onto S.
+
+    The phases, and so the channels, are fixed for the whole call, so the
+    term rows (:func:`_term_rows`) and the :class:`SubproblemSpec` are built
+    once; each round replaces only the spec's affine part (``lin`` and
+    ``affine_const``). Each iterate's log arguments are one product of the
+    rows with x; they give the record's f and sum_secrecy and linearize the
+    next round.
 
     ``step_size`` starts the first inner solve; each later round starts from
     the step the previous solve ended with, and the last one is returned as
     ``history.step_size`` for the caller's next run.
     """
+    if not 0.0 <= p_max < np.inf:  # NaN fails too
+        raise ValueError(f"p_max must be non-negative and finite, got {p_max}")
     u = np.asarray(u, dtype=complex)
     if start is None:
         start = default_start(u, ch, p_max, an_enabled=an_enabled)
@@ -230,12 +283,14 @@ def run_sca(
         Z = hermitize(qh @ start.Z @ q)
         h, b = h @ np.conj(q), b @ np.conj(q)
 
-    def evaluate(W, Z):
-        logs = _log_arguments_at(W, Z, h, b, ch)
-        return logs, _breakdown(*logs)
-
+    # the phases are fixed, so the rows are too: each round changes only the
+    # surrogate's affine part
+    rows = _term_rows(h, b)
+    x = _flatten(W, Z)
+    logs = _term_log_arguments(rows, x, ch)
+    rates = _breakdown(*logs)
+    spec = _subproblem(rows, x, logs, ch, p_max, an_enabled)
     history = RunHistory()
-    logs, rates = evaluate(W, Z)
     history.append(
         HistoryRecord(
             iteration=0,
@@ -249,7 +304,8 @@ def run_sca(
     history.status = "max_iters"
     for i in range(1, max_iters + 1):
         t0 = time.perf_counter()
-        spec = _subproblem(W, Z, _expand(h, b, logs[1], logs[2]), ch, p_max, an_enabled)
+        if i > 1:
+            spec.lin, spec.affine_const = _affine_part(rows, x, logs)
         sol_i, report = convex_inner.solve(
             spec, TransmitSolution(W=W, Z=Z, u=u), step_size=step_size
         )
@@ -261,7 +317,9 @@ def run_sca(
         W, Z = sol_i.W, sol_i.Z
         step_size = report.step_size
         f_prev = rates.f
-        logs, rates = evaluate(W, Z)
+        x = _flatten(W, Z)
+        logs = _term_log_arguments(rows, x, ch)
+        rates = _breakdown(*logs)
         history.append(
             HistoryRecord(
                 iteration=i,

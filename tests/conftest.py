@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from irs_secrecy.channels import ChannelSet
+from irs_secrecy.convex_inner import _project_exact
 from irs_secrecy.solution import TransmitSolution, hermitize
 
 
@@ -35,6 +36,17 @@ def random_solution(rng, ch, power=None):
         Z=hermitize(Z * scale),
         u=random_unit_modulus(rng, ch.num_irs_elements),
     )
+
+
+def project_blocks(W, Z, p_max, an_enabled):
+    """``_project_exact`` on the stack W_1..W_K[, Z], split back into (W, Z, eigenvalues).
+
+    Without AN only W is projected and Z comes back as the zero matrix.
+    """
+    stack = np.concatenate([W, Z[None]]) if an_enabled else W
+    out, vals = _project_exact(stack, p_max)
+    k = W.shape[0]
+    return out[:k], (out[k] if an_enabled else np.zeros_like(Z)), vals
 
 
 @pytest.fixture

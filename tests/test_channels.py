@@ -229,3 +229,13 @@ class TestChannelSetSerialization:
                 noise_user=0.0,
                 noise_eve=1.0,
             )
+        # NaN fails a "<= 0" test, and inf is no noise power either
+        for noise_user, noise_eve in ((float("nan"), 1.0), (1.0, float("inf"))):
+            with pytest.raises(ValueError, match="positive and finite"):
+                ChannelSet(
+                    H=np.ones((3, 2)),
+                    g=np.ones((1, 3)),
+                    l=np.ones(3),
+                    noise_user=noise_user,
+                    noise_eve=noise_eve,
+                )

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,8 +9,6 @@ from irs_secrecy.channels import generate_scenario
 from irs_secrecy.config import ScenarioConfig, dbm_to_watts, derive_seed
 from irs_secrecy.convex_inner import (
     SolverStatus,
-    SubproblemSpec,
-    _project_exact,
     solve,
     subproblem_gradient,
     subproblem_objective,
@@ -17,7 +17,7 @@ from irs_secrecy.metrics import LN2, secrecy_rates
 from irs_secrecy.orchestrator import optimize
 from irs_secrecy.sca import build_subproblem, default_start, max_rank_residual, run_sca
 from irs_secrecy.solution import TransmitSolution, hermitize
-from tests.conftest import random_channelset, random_psd, random_solution
+from tests.conftest import project_blocks, random_channelset, random_psd, random_solution
 
 
 def random_spec(rng, k=2, n=3, p_max=4.0, an_enabled=True):
@@ -68,7 +68,7 @@ def reference_gradient(spec, W, Z):
 def unit_step_residual(spec, sol):
     """||X - P(X - grad)|| at the returned point, recomputed from scratch."""
     g_w, g_z = reference_gradient(spec, sol.W, sol.Z)
-    Wr, Zr, _ = _project_exact(sol.W - g_w, sol.Z - g_z, spec.p_max, spec.an_enabled)
+    Wr, Zr, _ = project_blocks(sol.W - g_w, sol.Z - g_z, spec.p_max, spec.an_enabled)
     return float(np.sqrt(
         np.linalg.norm(Wr - sol.W) ** 2 + np.linalg.norm(Zr - sol.Z) ** 2
     ))
@@ -121,7 +121,7 @@ class TestProjectExactBudget:
             scale = 10.0 ** rng.uniform(0.0, 9.0)
             raw = rng.standard_normal((k + 1, n, n)) + 1j * rng.standard_normal((k + 1, n, n))
             stack = scale * hermitize(raw)
-            W, Z, _ = _project_exact(stack[:k], stack[k], p_max, an_enabled)
+            W, Z, _ = project_blocks(stack[:k], stack[k], p_max, an_enabled)
             TransmitSolution(W=W, Z=Z, u=np.ones(1)).validate(p_max)
 
 
@@ -129,13 +129,13 @@ class TestProjectExact:
     def test_feasible_input_unchanged(self, rng):
         ch = random_channelset(rng)
         sol = random_solution(rng, ch, power=2.0)
-        W, Z, _ = _project_exact(sol.W, sol.Z, 5.0, True)
+        W, Z, _ = project_blocks(sol.W, sol.Z, 5.0, True)
         assert np.allclose(W, sol.W, atol=1e-12)
         assert np.allclose(Z, sol.Z, atol=1e-12)
 
     def test_eigenvalue_clip(self):
         w = np.diag([2.0, -1.0]).astype(complex)
-        W, _, _ = _project_exact(w[None], np.zeros((2, 2), dtype=complex), 100.0, True)
+        W, _, _ = project_blocks(w[None], np.zeros((2, 2), dtype=complex), 100.0, True)
         vals = np.linalg.eigvalsh(W[0])
         assert vals == pytest.approx([0.0, 2.0], abs=1e-12)
 
@@ -151,7 +151,7 @@ class TestProjectExact:
             for _ in range(k)
         ])
         Z = hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        W, Z, _ = _project_exact(W, Z, p_max, True)
+        W, Z, _ = project_blocks(W, Z, p_max, True)
         power = np.einsum("kii->", W).real + np.trace(Z).real
         assert power <= p_max * (1 + 1e-9) + 1e-12
         assert np.linalg.eigvalsh(W).min() >= -1e-12
@@ -162,8 +162,8 @@ class TestProjectExact:
         W = np.stack([hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
                       for _ in range(2)])
         Z = hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        once = _project_exact(W, Z, 2.0, True)
-        twice = _project_exact(*once[:2], 2.0, True)
+        once = project_blocks(W, Z, 2.0, True)
+        twice = project_blocks(*once[:2], 2.0, True)
         assert np.allclose(twice[0], once[0], atol=1e-12)
         assert np.allclose(twice[1], once[1], atol=1e-12)
 
@@ -193,11 +193,7 @@ class TestSubproblemGradient:
 class TestSolve:
     def test_zero_budget_returns_zero(self, rng):
         spec, start, _, u = random_spec(rng, p_max=4.0)
-        spec_zero = SubproblemSpec(
-            a_mats=spec.a_mats, noise_user=spec.noise_user, b_mat=spec.b_mat,
-            noise_eve=spec.noise_eve, lin_w=spec.lin_w, lin_z=spec.lin_z,
-            affine_const=spec.affine_const, p_max=0.0,
-        )
+        spec_zero = replace(spec, p_max=0.0)
         zero = TransmitSolution(
             W=np.zeros_like(start.W), Z=np.zeros_like(start.Z), u=u
         )
@@ -217,6 +213,25 @@ class TestSolve:
         )
         with pytest.raises(ValueError, match="infeasible"):
             solve(spec, bad)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("p_max", float("nan")),
+            ("p_max", float("inf")),
+            ("p_max", -1.0),
+            ("noise_user", float("nan")),
+            ("noise_user", float("inf")),
+            ("noise_eve", float("nan")),
+            ("noise_eve", 0.0),
+        ],
+    )
+    def test_invalid_constants_rejected(self, rng, name, value):
+        # NaN passed the "<= 0" tests, and a NaN or infinite budget ran all
+        # 500 iterations to MAX_ITERS
+        spec, _, _, _ = random_spec(rng)
+        with pytest.raises(ValueError, match="finite"):
+            replace(spec, **{name: value})
 
     def test_descent_on_random_specs(self, rng):
         for _ in range(100):
@@ -433,7 +448,7 @@ class TestStepSize:
             t = report.final_step_norm / report.residual
             assert t <= 1.0
             g_w, g_z = subproblem_gradient(spec, start.W, start.Z)
-            W, Z, _ = _project_exact(
+            W, Z, _ = project_blocks(
                 start.W - t * g_w, start.Z - t * g_z, spec.p_max, spec.an_enabled
             )
             assert np.allclose(W, sol.W, rtol=0, atol=1e-12 * spec.p_max)

@@ -15,14 +15,19 @@ from irs_secrecy.sca import (
 )
 from irs_secrecy import convex_inner
 from irs_secrecy.channels import ChannelSet
-from irs_secrecy.convex_inner import _project_exact, subproblem_gradient, subproblem_objective
+from irs_secrecy.convex_inner import subproblem_gradient, subproblem_objective
 from irs_secrecy.metrics import (
     _log_arguments,
     effective_eve_channel,
     effective_user_channels,
 )
 from irs_secrecy.solution import TransmitSolution, hermitize, total_power
-from tests.conftest import random_channelset, random_solution, random_unit_modulus
+from tests.conftest import (
+    project_blocks,
+    random_channelset,
+    random_solution,
+    random_unit_modulus,
+)
 
 
 def g1_value(W, Z, u, ch):
@@ -159,12 +164,11 @@ class TestBuildSubproblem:
                 lin2 = linearize_g2(W, Z, u, ch)
                 lin_w = lin1.grad_w + lin2.grad_w
                 lin_z = lin1.grad_z + lin2.grad_z
-                affine_const = (
-                    lin1.value
-                    + lin2.value
-                    - np.vdot(lin_w, W).real
-                    - np.vdot(lin_z, Z).real
-                )
+                # <lin, X> is the dot product of the real (re, im) views,
+                # the inner product the spec is defined in
+                x = np.concatenate([W, Z[None]]).reshape(-1).view(float)
+                lin = np.concatenate([lin_w, lin_z[None]]).reshape(-1).view(float)
+                affine_const = lin1.value + lin2.value - float(lin.dot(x))
                 # one linearization pass serves both, so they agree bit for bit
                 assert np.array_equal(spec.lin_w, lin_w)
                 assert np.array_equal(spec.lin_z, lin_z)
@@ -230,6 +234,15 @@ class TestRunSca:
         start = random_solution(rng, ch, power=5.0)
         with pytest.raises(ValueError, match="infeasible start"):
             run_sca(u, ch, p_max=1.0, start=start)
+
+    @pytest.mark.parametrize("p_max", [float("nan"), float("inf"), -1.0])
+    def test_invalid_budget_rejected(self, rng, p_max):
+        # an infinite budget failed only as "infeasible start: Eigenvalues
+        # did not converge", after RuntimeWarnings
+        ch = random_channelset(rng)
+        u = random_unit_modulus(rng, ch.num_irs_elements)
+        with pytest.raises(ValueError, match="p_max must be non-negative and finite"):
+            run_sca(u, ch, p_max)
 
     def test_stationary_start_stops_quickly(self, rng):
         ch = random_channelset(rng, num_users=2)
@@ -378,7 +391,7 @@ class TestSpanReduction:
             tol = 1e-6 * (1 + abs(q))
             assert q == pytest.approx(report.objective, abs=tol)
             g_w, g_z = subproblem_gradient(spec, reduced.W, reduced.Z)
-            W_p, Z_p, _ = _project_exact(reduced.W - g_w, reduced.Z - g_z, p_max, True)
+            W_p, Z_p, _ = project_blocks(reduced.W - g_w, reduced.Z - g_z, p_max, True)
             residual = np.sqrt(
                 np.linalg.norm(W_p - reduced.W) ** 2 + np.linalg.norm(Z_p - reduced.Z) ** 2
             )
@@ -395,6 +408,45 @@ class TestSpanReduction:
         assert last.f == pytest.approx(rates.f, rel=1e-12)
         assert last.sum_secrecy == pytest.approx(rates.sum_secrecy, rel=1e-12, abs=1e-12)
         assert last.power_used == pytest.approx(total_power(sol.W, sol.Z), rel=1e-12)
+
+
+class TestRunScaSurrogates:
+    """The surrogates run_sca builds from its own term rows, as the inner
+    solver receives them: tight at each round's start and above f at the
+    solver's output, in the span-reduced and the full space."""
+
+    @pytest.mark.parametrize("an_enabled", [True, False])
+    @pytest.mark.parametrize("k, n", [(2, 6), (1, 4), (2, 3), (3, 2)])
+    def test_tight_at_start_and_majorizing(self, rng, monkeypatch, k, n, an_enabled):
+        original_solve = convex_inner.solve
+        at_start, at_output = [], []
+
+        def recording_solve(spec, start, **kwargs):
+            # the spec's affine part changes in place between rounds, so it
+            # is evaluated here, inside the round
+            at_start.append(subproblem_objective(spec, start.W, start.Z))
+            sol, report = original_solve(spec, start, **kwargs)
+            at_output.append(subproblem_objective(spec, sol.W, sol.Z))
+            return sol, report
+
+        monkeypatch.setattr(convex_inner, "solve", recording_solve)
+        rounds = 0
+        for _ in range(4):
+            ch = random_channelset(rng, num_users=k, num_irs=4, num_bs=n)
+            u = random_unit_modulus(rng, ch.num_irs_elements)
+            at_start.clear()
+            at_output.clear()
+            _, hist = run_sca(
+                u, ch, p_max=float(rng.uniform(1.0, 8.0)), tol=1e-9, max_iters=8,
+                an_enabled=an_enabled,
+            )
+            f = hist.f_trace()
+            assert len(at_start) == len(f) - 1
+            for i, (q_start, q_out) in enumerate(zip(at_start, at_output)):
+                assert abs(q_start - f[i]) <= 1e-12 * abs(f[i])
+                assert f[i + 1] <= q_out + 1e-12 * abs(q_out)
+            rounds += len(at_start)
+        assert rounds > 4
 
 
 class TestExtractRankOne:
