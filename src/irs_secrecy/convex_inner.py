@@ -131,7 +131,7 @@ class SolverReport:
     status: SolverStatus
     step_size: float = 1.0  # first trial step of the next iteration at exit
     # (K + 1, N_T) eigenvalues of the returned W_1..W_K, Z, ascending per
-    # matrix: the ones the projection assigned, or start.validate's for the start
+    # matrix: the ones the projection assigned, or the start's
     eigenvalues: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
@@ -202,6 +202,7 @@ def solve(
     tol: float = 1e-6,
     max_iters: int = 500,
     step_size: float = 1.0,
+    eigenvalues: np.ndarray | None = None,
 ) -> tuple[TransmitSolution, SolverReport]:
     """Minimize the subproblem from a feasible start; never ascends.
 
@@ -216,7 +217,11 @@ def solve(
     almost every BB step below 1. The gradient of each accepted point is
     computed once and serves both <s, y> and the next iteration. The start
     is used as given, neither projected nor symmetrized again:
-    ``start.validate`` has accepted it. The iterate is x over the blocks
+    ``start.validate`` has accepted it. A caller that has the start's
+    (K + 1, N_T) spectrum passes it as ``eigenvalues`` (in a sequence of
+    solves, the previous ``SolverReport.eigenvalues``), and the start is
+    then checked on it without a decomposition; so the only eigenvalue
+    decompositions made are the projections. The iterate is x over the blocks
     W_1..W_K (and Z when AN is on; without AN the start's Z is not read and
     Z stays 0), and W and Z are split from it once, at exit.
 
@@ -237,7 +242,7 @@ def solve(
     ``SolverReport.eigenvalues``.
     """
     try:
-        eigs = start.validate(spec.p_max)
+        eigs = start.validate(spec.p_max, eigenvalues)
     except ValueError as exc:
         raise ValueError(f"infeasible start: {exc}") from None
     k, n = spec.num_users, start.Z.shape[0]

@@ -27,6 +27,10 @@ equals that of the Riemannian gradient, and the exact Hessian
 
     H = sum_t s_t Hess(q_t) - sum_t (s_t / a_t) dq_t/dphi dq_t/dphi^T.
 
+Its main term sum_t s_t 2 Re(B_t X_t B_t^H) is one product: the link
+factors with u folded in, diag(conj u) [C_1, ..., C_T] (M x T N_T), times
+the stacked s_t X_t B_t^H (T N_T x M).
+
 `run_cg` takes damped Newton steps with it (Absil, Mahony & Sepulchre,
 Optimization Algorithms on Matrix Manifolds, 2008, ch. 6) on a modified
 Hessian (`_newton_step`): a rank-one term lifts the exact null direction of
@@ -70,16 +74,18 @@ def from_phases(phases: np.ndarray) -> np.ndarray:
 def aligned_start(ch: ChannelSet, k: int) -> np.ndarray:
     """Unit-modulus phases aligned to user k's cascaded link.
 
-    Takes the principal eigenvector of G_k G_k^H (the maximizer of
+    Takes the principal left singular vector of the M x N_T cascade G_k
+    (the principal eigenvector of G_k G_k^H, which maximizes
     ||G_k^H u||^2 without the modulus constraint) and renormalizes it
-    element-wise onto the manifold. Good warm start for committing the
-    surface to a single user.
+    element-wise onto the manifold; a zero cascade gives the flat start.
+    Good warm start for committing the surface to a single user.
     """
-    gk = ch.G[k]
-    _, vecs = np.linalg.eigh(gk @ np.conj(gk).T)
-    v = vecs[:, -1]
-    mags = np.abs(v)
+    vecs, s, _ = np.linalg.svd(ch.G[k], full_matrices=False)
     out = np.ones(ch.num_irs_elements, dtype=complex)
+    if not s[0] > 0.0:
+        return out
+    v = vecs[:, 0]
+    mags = np.abs(v)
     nz = mags > 0
     out[nz] = v[nz] / mags[nz]
     return out
@@ -136,9 +142,12 @@ class PhaseObjective:
             raise ValueError("non-positive log argument in phase objective")
         return vals, y
 
-    def value(self, u: np.ndarray) -> float:
-        vals, _ = self._log_args(u)
-        return float(self.weights @ np.log2(vals))
+    def value(self, u: np.ndarray, *, return_args: bool = False):
+        """f(u); with ``return_args``, also the ``(vals, y)`` pair of its
+        log-argument pass, which :meth:`derivatives` accepts at the same u."""
+        args = self._log_args(u)
+        f = float(self.weights @ np.log2(args[0]))
+        return (f, args) if return_args else f
 
     def value_batch(self, U: np.ndarray) -> np.ndarray:
         h = U @ self.link_h.T
@@ -151,21 +160,26 @@ class PhaseObjective:
         coef = self.segments @ (self.weights / vals)
         return (2.0 / LN2) * (self.link @ (coef * y))
 
-    def derivatives(self, u: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    def derivatives(
+        self, u: np.ndarray, log_args: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> tuple[float, np.ndarray, np.ndarray]:
         """f, its gradient and its exact Hessian in the phase angles phi.
 
-        One log-argument pass; the Hessian costs one batched (T, M, N_T)
-        kernel product and one M x (T N_T) x M product.
+        ``log_args`` is the ``(vals, y)`` pair of a log-argument pass at this
+        u, as ``value(u, return_args=True)`` returns it; without it, one pass
+        is made. The Hessian's main term is one batched (T, N_T, N_T) x
+        (T, N_T, M) kernel product and one M x (T N_T) x M product (see the
+        module docstring); its diagonal term is subtracted in place.
         """
-        vals, y = self._log_args(u)
+        vals, y = self._log_args(u) if log_args is None else log_args
         t, m, n = self.links.shape
         scale = self.weights / (LN2 * vals)
         z = np.conj(u) * np.matmul(self.links, y.reshape(t, n, 1))[..., 0]  # conj(u) * R_t u
         dq = -2.0 * z.imag  # (T, M): dq_t/dphi
-        weighted = np.matmul(self.links, scale[:, None, None] * self.kernels)
-        a = weighted.transpose(1, 0, 2).reshape(m, t * n) @ self.link_h
-        hess = 2.0 * (np.conj(u)[:, None] * a * u).real
-        hess -= np.diag(2.0 * (scale @ z.real))
+        b_h = (self.link_h * u).reshape(t, n, m)  # B_t^H
+        right = np.matmul(scale[:, None, None] * self.kernels, b_h).reshape(t * n, m)
+        hess = 2.0 * ((np.conj(u)[:, None] * self.link) @ right).real
+        hess.reshape(-1)[:: m + 1] -= 2.0 * (scale @ z.real)
         hess -= (dq.T * (scale / vals)) @ dq
         return float(self.weights @ np.log2(vals)), scale @ dq, hess
 
@@ -203,17 +217,21 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     the Cholesky factorization succeeds (Nocedal & Wright, Numerical
     Optimization, 2006, Alg. 3.3). So with tau = 0 the step is the exact
     Newton step on the complement of 1, and A is positive definite in every
-    case, which makes the step a descent direction. numpy has no triangular
-    solve, so the step itself comes from one LU solve with the accepted A.
+    case, which makes the step a descent direction. One lifted matrix is
+    built; each retry rewrites only its diagonal, to the lifted diagonal
+    plus tau. numpy has no triangular solve, so the step itself comes from
+    one LU solve with the accepted A.
     """
     m = hess.shape[0]
-    sigma = float(np.abs(np.diag(hess)).max())
-    lifted = hess + sigma / m
+    sigma = float(np.abs(hess.diagonal()).max())
+    mat = hess + sigma / m
+    diag = mat.reshape(-1)[:: m + 1]  # a writable view of mat's diagonal
+    lifted = diag.copy()  # the diagonal of H + (s/M) 1 1^T
     beta = SHIFT_FLOOR * sigma if sigma > 0.0 else 1.0
-    lowest = float(np.diag(lifted).min())
+    lowest = float(lifted.min())
     tau = 0.0 if lowest > 0.0 else beta - lowest
     while True:
-        mat = lifted + tau * np.eye(m)
+        diag[:] = lifted + tau
         try:
             np.linalg.cholesky(mat)
             break
@@ -237,7 +255,8 @@ def run_cg(
 
     Each iteration factors the modified phase-angle Hessian by Cholesky
     (:func:`_newton_step`; again only when it needs a larger shift), solves
-    for the step and backtracks along it until the Armijo condition holds.
+    for the step and backtracks along it until the Armijo condition holds;
+    the accepted trial's log-argument pass serves the next derivatives.
     Stops when the Riemannian gradient norm is at most ``tol``. Returns the
     final point and the per-iteration objective trace. The trace never
     increases; on line-search stagnation the best iterate so far is
@@ -255,7 +274,7 @@ def run_cg(
     f, grad, hess = obj.derivatives(u)
     history = RunHistory()
     history.append(HistoryRecord(iteration=0, phase="manifold", f=f, power_used=power))
-    if np.linalg.norm(grad) <= tol:
+    if np.sqrt(grad.dot(grad)) <= tol:
         return u, history
 
     status = "max_iters"
@@ -267,7 +286,7 @@ def run_cg(
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             u_trial = u * np.exp(-1j * delta * step)
-            f_trial = obj.value(u_trial)
+            f_trial, trial_args = obj.value(u_trial, return_args=True)
             if f_trial <= f + ARMIJO_C * delta * slope:
                 accepted = True
                 break
@@ -277,7 +296,7 @@ def run_cg(
             break
 
         u, f = u_trial, f_trial
-        _, grad, hess = obj.derivatives(u)
+        _, grad, hess = obj.derivatives(u, trial_args)
         history.append(
             HistoryRecord(
                 iteration=j,
@@ -287,7 +306,7 @@ def run_cg(
                 wall_time_ms=(time.perf_counter() - t0) * 1e3,
             )
         )
-        if np.linalg.norm(grad) <= tol:
+        if np.sqrt(grad.dot(grad)) <= tol:
             status = "converged"
             break
 

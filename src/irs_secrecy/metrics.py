@@ -83,19 +83,28 @@ def secrecy_rates(sol: TransmitSolution, ch: ChannelSet) -> ObjectiveBreakdown:
     return _breakdown(*_log_arguments(sol.W, sol.Z, sol.u, ch))
 
 
-def _breakdown(n, d, e, m, signal) -> ObjectiveBreakdown:
-    """:func:`secrecy_rates` from the log arguments of :func:`_log_arguments`."""
+def _terms(n, d, e, m):
+    """(F1, F2, G1, G2, rate, eve_capacity) from the log arguments."""
     log_n, log_d, log_e = np.log2(n), np.log2(d), np.log2(e)
     log_m = np.log2(m)
     k = n.shape[0]
-
-    rate = log_n - log_d
-    eve = log_e - log_m
-    secrecy = np.maximum(rate - eve, 0.0)
     F1 = -float(log_n.sum())
     F2 = -k * float(log_m)
     G1 = -float(log_d.sum())
     G2 = -float(log_e.sum())
+    return F1, F2, G1, G2, log_n - log_d, log_e - log_m
+
+
+def _f_and_sum_secrecy(n, d, e, m) -> tuple[float, float]:
+    """f and sum_secrecy of :func:`_breakdown`, without its other fields."""
+    F1, F2, G1, G2, rate, eve = _terms(n, d, e, m)
+    return F1 + F2 - G1 - G2, float(np.maximum(rate - eve, 0.0).sum())
+
+
+def _breakdown(n, d, e, m, signal) -> ObjectiveBreakdown:
+    """:func:`secrecy_rates` from the log arguments of :func:`_log_arguments`."""
+    F1, F2, G1, G2, rate, eve = _terms(n, d, e, m)
+    secrecy = np.maximum(rate - eve, 0.0)
     return ObjectiveBreakdown(
         F1=F1,
         F2=F2,

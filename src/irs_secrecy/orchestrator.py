@@ -18,10 +18,16 @@ import numpy as np
 from .channels import ChannelSet, normalize
 from .config import ScenarioConfig, derive_seed
 from .convex_inner import _project_exact
-from .manifold import default_phase_init, from_phases, run_cg
+from .manifold import default_phase_init, from_phases, manifold_residual, run_cg
 from .metrics import secrecy_rates
 from .sca import default_start, extract_rank_one, run_sca
-from .solution import HistoryRecord, RunHistory, TransmitSolution, total_power
+from .solution import (
+    UNIT_MODULUS_TOL,
+    HistoryRecord,
+    RunHistory,
+    TransmitSolution,
+    total_power,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -101,6 +107,9 @@ def _alternate(
     u = np.asarray(u0, dtype=complex).ravel()
     if u.shape[0] != work.num_irs_elements:
         raise ValueError("u init length does not match the IRS element count")
+    resid = manifold_residual(u)
+    if not resid <= UNIT_MODULUS_TOL:  # a NaN fails too
+        raise ValueError(f"u_init must have finite unit-modulus entries (residual {resid:.2e})")
 
     sol = default_start(u, work, cfg.p_max, an_enabled=an_enabled)
     history = RunHistory()

@@ -17,7 +17,12 @@ import numpy as np
 from . import convex_inner
 from .channels import ChannelSet
 from .convex_inner import InnerSolverError, SolverStatus, SubproblemSpec, _flatten
-from .metrics import LN2, _breakdown, effective_eve_channel, effective_user_channels
+from .metrics import (
+    LN2,
+    _f_and_sum_secrecy,
+    effective_eve_channel,
+    effective_user_channels,
+)
 from .solution import HistoryRecord, RunHistory, TransmitSolution, hermitize, total_power
 
 
@@ -226,6 +231,14 @@ def _span_basis(h: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return vecs[:, : max(rank, 1)]
 
 
+def _check_start(W: np.ndarray, Z: np.ndarray, u: np.ndarray, p_max: float) -> np.ndarray:
+    """``validate`` of (W, Z, u), its failure reported as an infeasible start."""
+    try:
+        return TransmitSolution(W=W, Z=Z, u=u).validate(p_max)
+    except ValueError as exc:
+        raise ValueError(f"infeasible start: {exc}") from None
+
+
 def run_sca(
     u: np.ndarray,
     ch: ChannelSet,
@@ -252,7 +265,10 @@ def run_sca(
     once; each round replaces only the spec's affine part (``lin`` and
     ``affine_const``). Each iterate's log arguments are one product of the
     rows with x; they give the record's f and sum_secrecy and linearize the
-    next round.
+    next round. The start the loop solves from is checked once; its
+    spectrum gives round 0's rank-one defect and goes to the first solve,
+    and each later solve gets the spectrum the previous one reported, so
+    the solves decompose nothing but their projections.
 
     ``step_size`` starts the first inner solve; each later round starts from
     the step the previous solve ended with, and the last one is returned as
@@ -268,37 +284,36 @@ def run_sca(
     h = effective_user_channels(ch, u)
     b = effective_eve_channel(ch, u)
     q = _span_basis(h, b)
-    if q is None:
-        W = hermitize(start.W)
-        Z = hermitize(start.Z)
-    else:
-        # the solver checks only the compressed start, which is feasible
+    stack = np.concatenate([start.W, start.Z[None]])
+    if q is not None:
+        # the solves see only the compressed start, which is feasible
         # whenever the start is, so the start itself is checked here
-        try:
-            TransmitSolution(W=start.W, Z=start.Z, u=u).validate(p_max)
-        except ValueError as exc:
-            raise ValueError(f"infeasible start: {exc}") from None
+        _check_start(start.W, start.Z, u, p_max)
         qh = np.conj(q.T)
-        W = hermitize(qh @ start.W @ q)
-        Z = hermitize(qh @ start.Z @ q)
+        stack = qh @ stack @ q
         h, b = h @ np.conj(q), b @ np.conj(q)
+    stack = hermitize(stack)
+    W, Z = stack[:-1], stack[-1]
+    # the one decomposition of a start the solves need: each later solve
+    # starts from the previous one's output, with the spectrum it reported
+    eigs = _check_start(W, Z, u, p_max)
 
     # the phases are fixed, so the rows are too: each round changes only the
     # surrogate's affine part
     rows = _term_rows(h, b)
     x = _flatten(W, Z)
     logs = _term_log_arguments(rows, x, ch)
-    rates = _breakdown(*logs)
+    f, sum_secrecy = _f_and_sum_secrecy(*logs[:4])
     spec = _subproblem(rows, x, logs, ch, p_max, an_enabled)
     history = RunHistory()
     history.append(
         HistoryRecord(
             iteration=0,
             phase="sca",
-            f=rates.f,
+            f=f,
             power_used=total_power(W, Z),
-            sum_secrecy=rates.sum_secrecy,
-            rank_residual=max_rank_residual(W),
+            sum_secrecy=sum_secrecy,
+            rank_residual=_max_rank_ratio(eigs[:-1]),
         )
     )
     history.status = "max_iters"
@@ -307,36 +322,37 @@ def run_sca(
         if i > 1:
             spec.lin, spec.affine_const = _affine_part(rows, x, logs)
         sol_i, report = convex_inner.solve(
-            spec, TransmitSolution(W=W, Z=Z, u=u), step_size=step_size
+            spec, TransmitSolution(W=W, Z=Z, u=u), step_size=step_size, eigenvalues=eigs
         )
         if report.status == SolverStatus.NUMERICAL_FAILURE:
             raise InnerSolverError(
                 f"inner solver failed at SCA iteration {i} "
                 f"(residual {report.residual:.3e}, objective {report.objective:.6e})"
             )
-        W, Z = sol_i.W, sol_i.Z
+        W, Z, eigs = sol_i.W, sol_i.Z, report.eigenvalues
         step_size = report.step_size
-        f_prev = rates.f
+        f_prev = f
         x = _flatten(W, Z)
         logs = _term_log_arguments(rows, x, ch)
-        rates = _breakdown(*logs)
+        f, sum_secrecy = _f_and_sum_secrecy(*logs[:4])
         history.append(
             HistoryRecord(
                 iteration=i,
                 phase="sca",
-                f=rates.f,
+                f=f,
                 power_used=total_power(W, Z),
-                sum_secrecy=rates.sum_secrecy,
-                rank_residual=_max_rank_ratio(report.eigenvalues[:-1]),
+                sum_secrecy=sum_secrecy,
+                rank_residual=_max_rank_ratio(eigs[:-1]),
                 wall_time_ms=(time.perf_counter() - t0) * 1e3,
             )
         )
-        if abs(rates.f - f_prev) <= tol:
+        if abs(f - f_prev) <= tol:
             history.status = "converged"
             break
     history.step_size = step_size
     if q is not None:
-        W, Z = q @ W @ qh, q @ Z @ qh
+        lifted = q @ np.concatenate([W, Z[None]]) @ qh
+        W, Z = lifted[:-1], lifted[-1]
     return TransmitSolution(W=W, Z=Z, u=u), history
 
 

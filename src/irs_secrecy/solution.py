@@ -52,32 +52,42 @@ class TransmitSolution:
     def num_users(self) -> int:
         return self.W.shape[0]
 
-    def validate(self, p_max: float) -> np.ndarray:
+    def validate(self, p_max: float, eigenvalues: np.ndarray | None = None) -> np.ndarray:
         """Raise ValueError if any constraint is violated beyond tolerance.
 
         Returns the (K + 1, N_T) eigenvalues of W_1..W_K, Z, ascending per
-        matrix, which the PSD check computes anyway.
+        matrix, which the PSD check computes anyway. A caller that already
+        has them (say, from the projection that produced W and Z) passes
+        them as ``eigenvalues``; the same floors, budget and unit-modulus
+        tests are then made on them without a new decomposition. Every test
+        is written so that a NaN fails it.
         """
-        # one stacked eigvalsh for all K + 1 matrices, each with its own floor
         stack = np.concatenate([self.W, self.Z[None]], axis=0)
-        eigs = np.linalg.eigvalsh(hermitize(stack))
+        # checked first: eigvalsh can return finite values for a NaN entry
+        if not np.isfinite(stack).all():
+            raise ValueError("W or Z has a non-finite entry")
+        if eigenvalues is None:
+            # one stacked eigvalsh for all K + 1 matrices, each with its own floor
+            eigenvalues = np.linalg.eigvalsh(hermitize(stack))
         traces = np.einsum("kii->k", stack).real
-        bad = np.flatnonzero(eigs[:, 0] < -PSD_EIG_TOL * np.maximum(traces, 1.0))
+        bad = np.flatnonzero(
+            ~(eigenvalues[:, 0] >= -PSD_EIG_TOL * np.maximum(traces, 1.0))
+        )
         if bad.size:
             name = "W" if bad[0] < self.W.shape[0] else "Z"
             raise ValueError(f"{name} is not PSD within tolerance")
-        power = total_power(self.W, self.Z)
-        if power > p_max * (1.0 + POWER_REL_TOL) + POWER_REL_TOL:
+        power = float(traces.sum())
+        if not power <= p_max * (1.0 + POWER_REL_TOL) + POWER_REL_TOL:
             raise ValueError(f"power {power} exceeds budget {p_max}")
-        if np.max(np.abs(np.abs(self.u) - 1.0)) > UNIT_MODULUS_TOL:
+        if not np.max(np.abs(np.abs(self.u) - 1.0)) <= UNIT_MODULUS_TOL:
             raise ValueError("u has entries off the unit circle")
         if self.w is not None:
             for k in range(self.num_users):
                 resid = np.linalg.norm(self.W[k] - np.outer(self.w[k], np.conj(self.w[k])))
                 tr = max(np.trace(self.W[k]).real, 0.0)
-                if resid > 1e-6 * max(tr, 1e-30) and tr > 0:
+                if tr > 0 and not resid <= 1e-6 * max(tr, 1e-30):
                     raise ValueError(f"w[{k}] inconsistent with W[{k}]")
-        return eigs
+        return eigenvalues
 
 
 @dataclass

@@ -387,6 +387,86 @@ class TestEntryAndExitSpectrum:
                 assert abs(record.rank_residual - max_rank_residual(W)) <= 1e-12
 
 
+class TestStartSpectrum:
+    """run_sca hands each solve the spectrum of its start, so a solve's only
+    eigendecompositions are its projections."""
+
+    def test_nan_u_start_rejected(self, rng):
+        # a NaN u passed validate, and solve returned it as converged
+        spec, start, _, _ = random_spec(rng)
+        start.u[0] = np.nan
+        with pytest.raises(ValueError, match="infeasible start"):
+            solve(spec, start)
+        eigs = TransmitSolution(W=start.W, Z=start.Z, u=np.ones(3)).validate(spec.p_max)
+        with pytest.raises(ValueError, match="infeasible start"):
+            solve(spec, start, eigenvalues=eigs)
+
+    def test_given_spectrum_changes_nothing(self, rng):
+        for _ in range(20):
+            an_enabled = bool(rng.integers(0, 2))
+            spec, start, _, _ = random_spec(
+                rng, k=int(rng.integers(1, 4)), n=int(rng.integers(1, 5)),
+                an_enabled=an_enabled,
+            )
+            eigs = start.validate(spec.p_max)
+            sol, report = solve(spec, start)
+            sol_e, report_e = solve(spec, start, eigenvalues=eigs)
+            assert report_e == report
+            assert np.array_equal(sol_e.W, sol.W) and np.array_equal(sol_e.Z, sol.Z)
+            assert np.array_equal(report_e.eigenvalues, report.eigenvalues)
+
+    @pytest.mark.parametrize("an_enabled", [True, False])
+    @pytest.mark.parametrize("k, n", [(2, 6), (2, 3), (3, 2)])
+    def test_solves_decompose_only_projections(self, rng, monkeypatch, k, n, an_enabled):
+        original_solve = convex_inner.solve
+        original_project = convex_inner._project_exact
+        original_eigh, original_eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+        inside = []
+        counts = {"decompositions": 0, "projections": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                if inside:
+                    counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def solve_inside(spec, start, **kwargs):
+            inside.append(1)
+            try:
+                return original_solve(spec, start, **kwargs)
+            finally:
+                inside.pop()
+
+        def validating_solve(spec, start, **kwargs):
+            # the reference: every solve decomposes its start again
+            kwargs.pop("eigenvalues")
+            return original_solve(spec, start, **kwargs)
+
+        ch = random_channelset(rng, num_users=k, num_irs=4, num_bs=n)
+        u = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
+        p_max = float(rng.uniform(1.0, 8.0))
+        kw = dict(tol=1e-9, max_iters=8, an_enabled=an_enabled)
+        monkeypatch.setattr(convex_inner, "solve", solve_inside)
+        monkeypatch.setattr(convex_inner, "_project_exact", counting("projections", original_project))
+        monkeypatch.setattr(np.linalg, "eigh", counting("decompositions", original_eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("decompositions", original_eigvalsh))
+        sol, hist = run_sca(u, ch, p_max, **kw)
+        monkeypatch.setattr(convex_inner, "solve", validating_solve)
+        ref_sol, ref_hist = run_sca(u, ch, p_max, **kw)
+
+        assert len(hist.records) > 2
+        assert counts["decompositions"] == counts["projections"] > 0
+        assert np.array_equal(sol.W, ref_sol.W) and np.array_equal(sol.Z, ref_sol.Z)
+        assert [(r.f, r.sum_secrecy, r.power_used) for r in hist.records] == [
+            (r.f, r.sum_secrecy, r.power_used) for r in ref_hist.records
+        ]
+        # the rank residuals come from the projections' spectra on one side
+        # and from a decomposition of the same matrices on the other
+        for r, ref in zip(hist.records, ref_hist.records):
+            assert abs(r.rank_residual - ref.rank_residual) <= 1e-12
+
+
 class TestStepSize:
     def test_huge_start_step_stays_feasible_and_descends(self, rng):
         for _ in range(40):

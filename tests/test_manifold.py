@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from irs_secrecy.channels import generate_scenario, normalize
 from irs_secrecy.config import ScenarioConfig, dbm_to_watts, derive_seed
 from irs_secrecy.manifold import (
+    SHIFT_FLOOR,
     PhaseObjective,
     RetractionError,
     _newton_step,
@@ -315,6 +318,32 @@ class TestPhaseDerivatives:
         riem = np.linalg.norm(tangent_project(u, obj.euclidean_grad(u)))
         assert abs(np.linalg.norm(grad) - riem) <= 1e-12 * g_scale
 
+    def test_reused_log_arguments_match_a_fresh_pass(self, rng):
+        # run_cg hands the accepted trial's log-argument pass to derivatives
+        for _ in range(20):
+            ch = random_channelset(rng, num_users=int(rng.integers(1, 4)),
+                                   num_irs=int(rng.integers(1, 9)),
+                                   num_bs=int(rng.integers(1, 5)))
+            sol = random_solution(rng, ch)
+            obj = PhaseObjective(sol.W, sol.Z, ch)
+            f, args = obj.value(sol.u, return_args=True)
+            assert f == obj.value(sol.u)
+            for reused, fresh in zip(obj.derivatives(sol.u, args), obj.derivatives(sol.u)):
+                assert np.array_equal(reused, fresh)
+
+    def test_run_cg_same_with_fresh_passes(self, rng, monkeypatch):
+        ch = random_channelset(rng, num_users=2, num_irs=8)
+        sol = random_solution(rng, ch)
+        u_reused, hist_reused = run_cg(sol.u, sol.W, sol.Z, ch, tol=1e-8)
+        original = PhaseObjective.derivatives
+        monkeypatch.setattr(
+            PhaseObjective, "derivatives", lambda self, u, log_args=None: original(self, u)
+        )
+        u_fresh, hist_fresh = run_cg(sol.u, sol.W, sol.Z, ch, tol=1e-8)
+        assert len(hist_reused.records) > 2
+        assert np.array_equal(u_reused, u_fresh)
+        assert np.array_equal(hist_reused.f_trace(), hist_fresh.f_trace())
+
 
 class TestNewtonIterations:
     # (N_T, M, K) = (2, 40, 1) at 40 dBm, from optimize's first-round
@@ -373,6 +402,47 @@ class TestNewtonStep:
                 if np.abs(eigs).max() <= 1e5 * np.abs(eigs).min():
                     newton = -np.linalg.pinv(hess, rcond=1e-12, hermitian=True) @ grad
                     assert np.linalg.norm(step - newton) <= 1e-10 * np.linalg.norm(newton)
+
+    @pytest.mark.parametrize("kind", ["definite", "indefinite"])
+    def test_equals_solve_with_the_shifted_matrix(self, kind, monkeypatch):
+        # the step is -solve(lifted + tau I, grad) for the tau sequence
+        # 0 or beta - min diag(lifted), then max(2 tau, beta), ... of the
+        # docstring; each retry rewrites only the diagonal of one matrix
+        rng = np.random.default_rng(derive_seed("newton-step-shift", kind))
+        original_cholesky = np.linalg.cholesky
+        tried = []
+
+        def recording_cholesky(mat):
+            tried.append(mat.copy())
+            return original_cholesky(mat)
+
+        retries = 0
+        for _ in range(100):
+            m = int(rng.integers(2, 41))
+            eigs = rng.uniform(0.1, 10.0, m - 1)
+            if kind == "indefinite":
+                eigs[: int(rng.integers(1, m))] *= -1.0
+            hess, basis = rotation_free_hessian(rng, m, 10.0 ** rng.uniform(-6.0, 6.0) * eigs)
+            grad = basis @ rng.standard_normal(m - 1)
+            monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+            tried.clear()
+            step = _newton_step(hess, grad)
+            monkeypatch.setattr(np.linalg, "cholesky", original_cholesky)
+
+            sigma = np.abs(np.diag(hess)).max()
+            lifted = hess + sigma / m
+            beta = SHIFT_FLOOR * sigma
+            lowest = np.diag(lifted).min()
+            tau = 0.0 if lowest > 0.0 else beta - lowest
+            for i, mat in enumerate(tried):
+                assert np.array_equal(mat, lifted + tau * np.eye(m))
+                if i < len(tried) - 1:
+                    with pytest.raises(np.linalg.LinAlgError):
+                        original_cholesky(mat)
+                    tau = max(2.0 * tau, beta)
+            assert np.array_equal(step, -np.linalg.solve(lifted + tau * np.eye(m), grad))
+            retries += len(tried) - 1
+        assert (retries > 0) == (kind == "indefinite")
 
     def test_run_cg_makes_no_eigendecomposition(self, rng, monkeypatch):
         def no_eigh(*args, **kwargs):
@@ -469,6 +539,28 @@ class TestHelpers:
         u = from_phases(np.array([0.0, np.pi / 2]))
         assert u[0] == pytest.approx(1.0)
         assert u[1] == pytest.approx(np.exp(-1j * np.pi / 2))
+
+    @pytest.mark.parametrize("m, n", [(6, 3), (2, 5), (4, 4), (1, 3), (5, 1)])
+    @pytest.mark.parametrize("zero_cascade", [False, True])
+    def test_aligned_start_matches_gram_eigenvector(self, rng, m, n, zero_cascade):
+        # the thin SVD of G_k gives the principal eigenvector of the M x M
+        # Gram matrix G_k G_k^H up to a common phase
+        for _ in range(10):
+            ch = random_channelset(rng, num_users=2, num_irs=m, num_bs=n)
+            if zero_cascade:
+                ch = replace(ch, g=np.vstack([np.zeros(m), ch.g[1]]))
+            _, vecs = np.linalg.eigh(ch.G[0] @ np.conj(ch.G[0]).T)
+            v = vecs[:, -1]
+            mags = np.abs(v)
+            gram = np.ones(m, dtype=complex)
+            gram[mags > 0] = v[mags > 0] / mags[mags > 0]
+            u = aligned_start(ch, 0)
+            assert manifold_residual(u) <= 1e-12
+            rotation = np.vdot(gram, u) / m
+            assert abs(abs(rotation) - 1.0) <= 1e-10
+            assert np.abs(u - rotation * gram).max() <= 1e-10
+            if zero_cascade:
+                assert np.array_equal(u, np.ones(m))
 
     def test_aligned_start_on_manifold_and_aligned(self, rng):
         ch = random_channelset(rng, num_users=2, num_irs=5)

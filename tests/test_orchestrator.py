@@ -5,6 +5,7 @@ from dataclasses import replace
 from irs_secrecy.channels import generate_scenario
 from irs_secrecy.config import ScenarioConfig, derive_seed
 from irs_secrecy.metrics import secrecy_rates
+from irs_secrecy import orchestrator
 from irs_secrecy.orchestrator import baseline_no_an, baseline_random_phase, optimize
 from irs_secrecy.sca import max_rank_residual
 from irs_secrecy.solution import total_power
@@ -66,6 +67,23 @@ class TestOptimize:
         assert hist.is_monotone(slack=1e-6)
         with pytest.raises(ValueError):
             optimize(ch, cfg, u_init=np.ones(cfg.num_irs_elements + 1))
+
+    @pytest.mark.parametrize("scheme", [optimize, baseline_no_an])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "off_circle", "zero"])
+    def test_bad_phase_init_rejected_before_any_solve(self, monkeypatch, scheme, bad):
+        # a NaN u_init failed as "SVD did not converge" inside the first SCA run
+        cfg = small_config(4, num_bs_antennas=4, num_users=1)
+        ch = generate_scenario(cfg)
+        u0 = np.ones(cfg.num_irs_elements, dtype=complex)
+        u0[1] = {"nan": np.nan, "inf": np.inf, "off_circle": 1.0 + 1e-6, "zero": 0.0}[bad]
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver called with a bad u_init")
+
+        monkeypatch.setattr(orchestrator, "run_sca", no_solve)
+        monkeypatch.setattr(orchestrator, "run_cg", no_solve)
+        with pytest.raises(ValueError, match="u_init"):
+            scheme(ch, cfg, u_init=u0)
 
     def test_normalization_flag_matches(self):
         cfg_on = small_config(5, normalize_noise=True)

@@ -71,6 +71,74 @@ class TestTransmitSolution:
             bad.validate(p_max=100.0)
 
 
+class TestValidateNaN:
+    """Every check of validate fails on NaN, with or without given eigenvalues."""
+
+    @staticmethod
+    def feasible(n=2):
+        return TransmitSolution(
+            W=np.stack([np.eye(n, dtype=complex)]), Z=np.eye(n, dtype=complex),
+            u=np.ones(3, dtype=complex),
+        )
+
+    def test_nan_u_rejected(self):
+        sol = self.feasible()
+        sol.u[1] = np.nan
+        with pytest.raises(ValueError, match="unit circle"):
+            sol.validate(p_max=4.0)
+
+    @pytest.mark.parametrize("where", [(0, 0, 0), (0, 0, 1), (0, 1, 1)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_w_rejected(self, where, value):
+        # W = [[nan, 0], [0, 1]] passed: eigvalsh returned [0, -0]
+        sol = TransmitSolution(
+            W=np.diag([1.0, 1.0]).astype(complex)[None], Z=np.zeros((2, 2)),
+            u=np.ones(3),
+        )
+        sol.W[where] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            sol.validate(p_max=4.0)
+
+    def test_nan_z_rejected(self):
+        sol = self.feasible()
+        sol.Z[0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            sol.validate(p_max=4.0)
+
+    def test_given_eigenvalues_reused(self, monkeypatch):
+        sol = self.feasible()
+        eigs = sol.validate(p_max=4.0)
+
+        def no_decomposition(*args, **kwargs):
+            raise AssertionError("eigenvalues recomputed")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_decomposition)
+        assert sol.validate(p_max=4.0, eigenvalues=eigs) is eigs
+        # the same floors, budget and unit modulus on the given spectrum
+        with pytest.raises(ValueError, match="power"):
+            sol.validate(p_max=3.9, eigenvalues=eigs)
+        with pytest.raises(ValueError, match="Z is not PSD"):
+            sol.validate(p_max=4.0, eigenvalues=np.array([[1.0, 1.0], [-0.1, 1.0]]))
+        with pytest.raises(ValueError, match="W is not PSD"):
+            sol.validate(p_max=4.0, eigenvalues=np.array([[np.nan, 1.0], [1.0, 1.0]]))
+        sol.W[0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            sol.validate(p_max=4.0, eigenvalues=eigs)
+        sol.W[0, 0, 0] = 1.0
+        sol.u[0] = np.nan
+        with pytest.raises(ValueError, match="unit circle"):
+            sol.validate(p_max=4.0, eigenvalues=eigs)
+
+    def test_nan_beamformer_rejected(self):
+        v = np.array([1.0, 1j])
+        sol = TransmitSolution(
+            W=np.stack([np.outer(v, np.conj(v))]), Z=np.zeros((2, 2)),
+            u=np.ones(2), w=np.stack([np.array([np.nan, 1j])]),
+        )
+        with pytest.raises(ValueError, match="inconsistent"):
+            sol.validate(p_max=100.0)
+
+
 class TestRunHistory:
     def test_monotone_helper(self):
         hist = RunHistory()
