@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -25,23 +24,13 @@ SECTOR_INNER_RADIUS = 20.0   # m
 SECTOR_APERTURE = 2.0 * np.pi / 3.0
 
 
-class LinkClass(str, Enum):
-    BS_IRS = "bs_irs"
-    IRS_USER = "irs_user"
-    IRS_EVE = "irs_eve"
-
-
-def path_loss_gain(distance: float, link_class: LinkClass, config: ScenarioConfig) -> float:
-    """Linear power gain of a link: 10^(-(PL0 + 10*alpha*log10(d))/10)."""
+def path_loss_gain(distance: float, alpha: float, pl0_db: float) -> float:
+    """Linear power gain 10^(-(PL0 + 10*alpha*log10(d))/10) of a link of
+    length d m with exponent alpha and loss PL0 dB at 1 m. An overflow
+    gives inf, and :class:`ChannelSet` rejects the channels drawn with it."""
     if distance <= 0:
         raise ValueError(f"distance must be positive, got {distance}")
-    exponents = {
-        LinkClass.BS_IRS: config.pl_exp_bs_irs,
-        LinkClass.IRS_USER: config.pl_exp_irs_user,
-        LinkClass.IRS_EVE: config.pl_exp_irs_eve,
-    }
-    alpha = exponents[LinkClass(link_class)]
-    return 10.0 ** (-(config.pl0_db + 10.0 * alpha * np.log10(distance)) / 10.0)
+    return 10.0 ** (-(pl0_db + 10.0 * alpha * np.log10(distance)) / 10.0)
 
 
 @dataclass(frozen=True)
@@ -53,6 +42,8 @@ class ChannelSet:
     l : (M,)     IRS to eavesdropper
     G : (K, M, N_T) effective cascades diag(conj(g_k)) @ H, precomputed
     L : (M, N_T)    effective cascade diag(conj(l)) @ H, precomputed
+
+    NaN or inf in H, g or l is rejected: a solver SVD can hang on it.
     """
 
     H: np.ndarray
@@ -74,6 +65,9 @@ class ChannelSet:
             raise ValueError(f"g rows must have length M={m}, got {g.shape[1]}")
         if l.shape[0] != m:
             raise ValueError(f"l must have length M={m}, got {l.shape[0]}")
+        for name, arr in (("H", H), ("g", g), ("l", l)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} has a non-finite entry")
         # written so that NaN fails the test
         if not (0 < self.noise_user < np.inf and 0 < self.noise_eve < np.inf):
             raise ValueError("noise powers must be positive and finite")
@@ -131,15 +125,16 @@ def generate_scenario(config: ScenarioConfig) -> ChannelSet:
     positions = user_positions(config, rng)
     irs_pos = np.array([config.bs_irs_distance, 0.0])
 
-    h_gain = path_loss_gain(config.bs_irs_distance, LinkClass.BS_IRS, config)
+    pl0 = config.pl0_db
+    h_gain = path_loss_gain(config.bs_irs_distance, config.pl_exp_bs_irs, pl0)
     H = _complex_gaussian(rng, (m, nt), h_gain)
 
     g = np.empty((k, m), dtype=complex)
     for i in range(k):
         dist = float(np.linalg.norm(positions[i] - irs_pos))
-        g[i] = _complex_gaussian(rng, (m,), path_loss_gain(dist, LinkClass.IRS_USER, config))
+        g[i] = _complex_gaussian(rng, (m,), path_loss_gain(dist, config.pl_exp_irs_user, pl0))
 
-    l_gain = path_loss_gain(config.r_re, LinkClass.IRS_EVE, config)
+    l_gain = path_loss_gain(config.r_re, config.pl_exp_irs_eve, pl0)
     l = _complex_gaussian(rng, (m,), l_gain)
 
     return ChannelSet(H=H, g=g, l=l, noise_user=config.noise_user, noise_eve=config.noise_eve)

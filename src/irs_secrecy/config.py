@@ -3,12 +3,10 @@
 All powers inside the library are in watts; sweeps over transmit power
 convert their dBm values with ``dbm_to_watts``.
 """
-from __future__ import annotations
-
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 
 def derive_seed(*parts) -> int:
@@ -19,17 +17,6 @@ def derive_seed(*parts) -> int:
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) / 1000.0
-
-
-_INTEGER_FIELDS = (
-    "num_users", "num_bs_antennas", "num_irs_elements", "rng_seed", "max_outer_iters",
-    "sca_max_iters",
-)
-_REAL_FIELDS = (
-    "p_max", "noise_user", "noise_eve", "cell_radius", "r_be", "r_re", "bs_irs_distance",
-    "pl0_db", "pl_exp_bs_irs", "pl_exp_irs_user", "pl_exp_irs_eve", "tol_manifold",
-    "tol_outer",
-)
 
 
 @dataclass(frozen=True)
@@ -60,26 +47,20 @@ class ScenarioConfig:
     tol_outer: float = 1e-3        # |f change| tolerance of the alternating loop
     max_outer_iters: int = 20
     sca_max_iters: int = 30
-    normalize_noise: bool = True
 
     def __post_init__(self) -> None:
-        # rng_seed 1.0 would hash to other seeds than 1 (derive_seed hashes
-        # the repr), and a bool is an int to Python but not a count, a seed
-        # or a power
-        for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.normalize_noise, bool):
-            raise ValueError(f"normalize_noise must be a bool, got {self.normalize_noise!r}")
-        for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        # NaN fails every comparison below, so it is rejected here first
-        for name, value in vars(self).items():
+        # each field is typed by its annotation: rng_seed 1.0 would hash to
+        # other seeds than 1 (derive_seed hashes the repr), and a bool is an
+        # int to Python but not a count, a seed or a power. NaN fails every
+        # comparison below, so it is rejected here first
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds = int if f.type is int else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                kind = "an integer" if f.type is int else "a real number"
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.num_users < 1:
             raise ValueError(f"num_users must be >= 1, got {self.num_users}")
         if self.num_bs_antennas <= 1:

@@ -195,6 +195,14 @@ def _project_exact(stack: np.ndarray, p_max: float):
     return (vecs * clipped[:, None, :]) @ vecs.conj().swapaxes(-1, -2), clipped
 
 
+def _check_start(start: TransmitSolution, p_max: float, eigenvalues=None) -> np.ndarray:
+    """``start.validate``, its failure reported as an infeasible start."""
+    try:
+        return start.validate(p_max, eigenvalues)
+    except ValueError as exc:
+        raise ValueError(f"infeasible start: {exc}") from None
+
+
 def solve(
     spec: SubproblemSpec,
     start: TransmitSolution,
@@ -241,10 +249,7 @@ def solve(
     it, and the spectrum of the returned point as
     ``SolverReport.eigenvalues``.
     """
-    try:
-        eigs = start.validate(spec.p_max, eigenvalues)
-    except ValueError as exc:
-        raise ValueError(f"infeasible start: {exc}") from None
+    eigs = _check_start(start, spec.p_max, eigenvalues)
     k, n = spec.num_users, start.Z.shape[0]
     x = _flatten(start.W, start.Z, spec.an_enabled)
     # without AN, x stops before the Z block and so do the rows it meets
@@ -280,8 +285,6 @@ def solve(
                 status = SolverStatus.CONVERGED
                 break
         x_norm = float(np.sqrt(x.dot(x)))
-        accepted = False
-        stopped = False
         for _ in range(MAX_BACKTRACKS):
             xt, eigs_t = project(x - delta * g)
             s = xt - x
@@ -292,30 +295,26 @@ def solve(
                 # t >= 1 it bounds the unit-step residual from above
                 residual = step
                 status = SolverStatus.CONVERGED
-                stopped = True
                 break
             entry = False
             if step <= 1e-13 * (1.0 + x_norm):
                 # below eigendecomposition noise: the map cannot move the point
                 residual = step / delta
                 status = SolverStatus.CONVERGED
-                stopped = True
                 break
             vt, qt = _evaluate(spec, xt)
             if qt <= q - (ARMIJO_C / delta) * step_sq:
-                accepted = True
                 break
             delta *= 0.5
-        if stopped:
-            break
-        if not accepted:
-            # distinguish float-level stationarity from a genuine failure
+        else:
+            # no step accepted: float-level stationarity or a genuine failure
             residual = unit_step_residual(g)
             status = (
                 SolverStatus.CONVERGED
                 if residual <= 10.0 * tol * (1.0 + abs(q))
                 else SolverStatus.NUMERICAL_FAILURE
             )
+        if status is not SolverStatus.MAX_ITERS:
             break
         step_norm = float(step)
         # a small accepted displacement is only a hint: confirm with the

@@ -6,6 +6,9 @@ previous round. From the second round on, the round may first step along
 the previous round's displacement (:func:`_extrapolate`), kept only when it
 lowers f. No phase can increase the objective, so the interleaved trace is
 non-increasing.
+
+Every scheme solves on the unit-noise channels of :func:`channels.normalize`;
+rates do not depend on the noise units, so it solves the given channels too.
 """
 from __future__ import annotations
 
@@ -35,10 +38,6 @@ RANK_RESIDUAL_WARN = 1e-6
 EXTRAPOLATION_MAX_WEIGHT = 64  # largest multiple of a round's displacement tried
 
 
-def _working_channels(ch: ChannelSet, cfg: ScenarioConfig) -> ChannelSet:
-    return normalize(ch) if cfg.normalize_noise else ch
-
-
 def _attach_beamformers(sol: TransmitSolution) -> TransmitSolution:
     w = np.zeros(sol.W.shape[:2], dtype=complex)
     for k in range(sol.num_users):
@@ -65,7 +64,7 @@ def _record(history, t, phase, sol, breakdown, elapsed_ms):
     return breakdown.f
 
 
-def _extrapolate(prev, sol, f_now, ch, p_max, an_enabled):
+def _extrapolate(prev, sol, f_now, ch, p_max):
     """Best point below ``f_now`` on the ray from ``prev`` through ``sol``.
 
     Late outer rounds move along an almost straight line, so the point
@@ -74,24 +73,19 @@ def _extrapolate(prev, sol, f_now, ch, p_max, an_enabled):
     (extrapolated block updates with a monotone safeguard; Xu & Yin, SIAM
     J. Imaging Sci. 2013). The phases move by the wrapped angle difference;
     (W, Z) move by the matrix difference, projected back onto the feasible
-    set, so Z stays 0 without AN. Returns (point, breakdown), or None when
-    no trial lowers f.
+    set. Without AN both Z are 0, and the projection keeps a zero block
+    exactly 0. Returns (point, breakdown), or None when no trial lowers f.
     """
     phi = -np.angle(sol.u)
     d_phi = np.angle(prev.u * np.conj(sol.u))  # phi - phi_prev, wrapped
     k = sol.num_users
-
-    def blocks(s):  # the projection's stack: W_1..W_K, then Z when AN is on
-        return np.concatenate([s.W, s.Z[None]]) if an_enabled else s.W
-
-    x = blocks(sol)
-    d_x = x - blocks(prev)
+    x = np.concatenate([sol.W, sol.Z[None]])
+    d_x = x - np.concatenate([prev.W, prev.Z[None]])
     best = None
     beta = 1
     while beta <= EXTRAPOLATION_MAX_WEIGHT:
         out, _ = _project_exact(x + beta * d_x, p_max)
-        Z = out[k] if an_enabled else sol.Z
-        trial = TransmitSolution(W=out[:k], Z=Z, u=from_phases(phi + beta * d_phi))
+        trial = TransmitSolution(W=out[:k], Z=out[k], u=from_phases(phi + beta * d_phi))
         rates = secrecy_rates(trial, ch)
         if not rates.f < f_now:
             break
@@ -101,9 +95,10 @@ def _extrapolate(prev, sol, f_now, ch, p_max, an_enabled):
 
 
 def _alternate(
-    ch: ChannelSet, cfg: ScenarioConfig, u0: np.ndarray, *, an_enabled: bool
+    ch: ChannelSet, cfg: ScenarioConfig, u_init: np.ndarray | None, *, an_enabled: bool
 ) -> tuple[TransmitSolution, RunHistory]:
-    work = _working_channels(ch, cfg)
+    work = normalize(ch)
+    u0 = default_phase_init(ch) if u_init is None else u_init
     u = np.asarray(u0, dtype=complex).ravel()
     if u.shape[0] != work.num_irs_elements:
         raise ValueError("u init length does not match the IRS element count")
@@ -121,7 +116,7 @@ def _alternate(
     for t in range(1, cfg.max_outer_iters + 1):
         if round_start is not None:
             t0 = time.perf_counter()
-            jump = _extrapolate(round_start, sol, f_prev, work, cfg.p_max, an_enabled)
+            jump = _extrapolate(round_start, sol, f_prev, work, cfg.p_max)
             if jump is not None:
                 sol, rates = jump
                 f_prev = _record(
@@ -171,29 +166,25 @@ def _alternate(
 
 def optimize(ch: ChannelSet, cfg: ScenarioConfig, *, u_init=None) -> tuple[TransmitSolution, RunHistory]:
     """Joint design of beamformers, AN covariance and IRS phases."""
-    u0 = default_phase_init(ch) if u_init is None else u_init
-    return _alternate(ch, cfg, u0, an_enabled=True)
+    return _alternate(ch, cfg, u_init, an_enabled=True)
 
 
 def baseline_random_phase(ch: ChannelSet, cfg: ScenarioConfig) -> tuple[TransmitSolution, RunHistory]:
     """Baseline 1: IRS phases drawn once uniformly at random, (W, Z) optimized."""
     rng = np.random.default_rng(derive_seed("baseline1-phases", cfg.rng_seed))
     u = from_phases(rng.uniform(0.0, 2.0 * np.pi, ch.num_irs_elements))
-    work = _working_channels(ch, cfg)
     sol, history = run_sca(
         u,
-        work,
+        normalize(ch),
         cfg.p_max,
         tol=cfg.tol_outer,
         max_iters=cfg.sca_max_iters,
-        an_enabled=True,
     )
     return _attach_beamformers(sol), history
 
 
 def baseline_no_an(ch: ChannelSet, cfg: ScenarioConfig, *, u_init=None) -> tuple[TransmitSolution, RunHistory]:
     """Baseline 2: no artificial noise; beamformers and phases still optimized."""
-    u0 = default_phase_init(ch) if u_init is None else u_init
-    sol, history = _alternate(ch, cfg, u0, an_enabled=False)
+    sol, history = _alternate(ch, cfg, u_init, an_enabled=False)
     assert np.all(sol.Z == 0)
     return sol, history

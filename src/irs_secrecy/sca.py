@@ -231,14 +231,6 @@ def _span_basis(h: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return vecs[:, : max(rank, 1)]
 
 
-def _check_start(W: np.ndarray, Z: np.ndarray, u: np.ndarray, p_max: float) -> np.ndarray:
-    """``validate`` of (W, Z, u), its failure reported as an infeasible start."""
-    try:
-        return TransmitSolution(W=W, Z=Z, u=u).validate(p_max)
-    except ValueError as exc:
-        raise ValueError(f"infeasible start: {exc}") from None
-
-
 def run_sca(
     u: np.ndarray,
     ch: ChannelSet,
@@ -288,7 +280,7 @@ def run_sca(
     if q is not None:
         # the solves see only the compressed start, which is feasible
         # whenever the start is, so the start itself is checked here
-        _check_start(start.W, start.Z, u, p_max)
+        convex_inner._check_start(TransmitSolution(W=start.W, Z=start.Z, u=u), p_max)
         qh = np.conj(q.T)
         stack = qh @ stack @ q
         h, b = h @ np.conj(q), b @ np.conj(q)
@@ -296,7 +288,7 @@ def run_sca(
     W, Z = stack[:-1], stack[-1]
     # the one decomposition of a start the solves need: each later solve
     # starts from the previous one's output, with the spectrum it reported
-    eigs = _check_start(W, Z, u, p_max)
+    eigs = convex_inner._check_start(TransmitSolution(W=W, Z=Z, u=u), p_max)
 
     # the phases are fixed, so the rows are too: each round changes only the
     # surrogate's affine part
@@ -359,6 +351,9 @@ def run_sca(
 def extract_rank_one(W_k: np.ndarray) -> tuple[np.ndarray, float]:
     """Principal-eigenpair beamformer and the rank-one defect lambda2/lambda1."""
     W_k = np.asarray(W_k, dtype=complex)
+    # checked first: eigh can return finite values for a NaN entry
+    if not np.isfinite(W_k).all():
+        raise ValueError("extract_rank_one requires a finite matrix")
     vals, vecs = np.linalg.eigh(hermitize(W_k))
     trace = float(vals.sum())
     if vals.min() < -1e-9 * max(trace, 1e-30):

@@ -7,6 +7,7 @@ shows mean +/- std.
 """
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .sweep import SUMMARY_COLUMNS
@@ -54,6 +55,8 @@ def _parse_summary(csv_path) -> tuple[str, dict[str, list[tuple[float, float, fl
             s = float(std)
         except ValueError as exc:
             raise CsvFormatError(f"line {i}: {exc}") from None
+        if not all(map(math.isfinite, (x, m, s))):
+            raise CsvFormatError(f"line {i}: non-finite value, mean or std")
         series.setdefault(scheme, []).append((x, m, s))
     if not series:
         raise CsvFormatError("line 2: no data rows")

@@ -87,15 +87,15 @@ class TestSweepCommand:
         [
             ('{"rng_seed": 1.0}', "rng_seed must be an integer, got 1.0"),
             ('{"num_users": true}', "num_users must be an integer, got True"),
-            ('{"normalize_noise": "no"}', "normalize_noise must be a bool, got 'no'"),
+            # the removed option is an unknown field, not silently ignored
+            ('{"normalize_noise": "no"}', "unknown scenario config fields: ['normalize_noise']"),
             # true ran with 1 W of noise, and "10" failed inside a comparison
             ('{"noise_user": true}', "noise_user must be a real number, got True"),
             ('{"p_max": "10"}', "p_max must be a real number, got '10'"),
         ],
     )
     def test_mistyped_config_rejected(self, tmp_path, capsys, text, message):
-        # 1.0 ran with other channel seeds than 1, true failed inside numpy,
-        # and "no" ran with normalized channels
+        # 1.0 ran with other channel seeds than 1, and true failed inside numpy
         cfg = tmp_path / "config.json"
         cfg.write_text(text, encoding="utf-8")
         code = main([
@@ -105,6 +105,23 @@ class TestSweepCommand:
         ])
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize("text", ['{"pl0_db": -4000}', '{"pl_exp_bs_irs": -1000}'])
+    def test_overflowing_path_loss_rejected(self, tmp_path, capsys, text):
+        # the config is valid, but its path-loss gain overflows to inf: the
+        # sweep wrote error:LinAlgError rows and exited 0. numpy warns, as it
+        # does outside the tests, and the sweep stops before any run
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text, encoding="utf-8")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main([
+                "sweep", "--config", str(cfg), "--values", "10",
+                "--schemes", "baseline1", "--realizations", "1",
+                "--out", str(tmp_path / "out"),
+            ])
+        assert code == 2
+        assert "error: H has a non-finite entry" in capsys.readouterr().err
         assert not (tmp_path / "out" / "results.csv").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):

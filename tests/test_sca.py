@@ -468,6 +468,13 @@ class TestExtractRankOne:
         with pytest.raises(ValueError):
             extract_rank_one(np.diag([1.0, -0.5]))
 
+    def test_non_finite_rejected(self):
+        # NaN gave the beamformer [0, 0, 1] with defect 1.0
+        W = np.eye(3)
+        W[0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            extract_rank_one(W)
+
     def test_post_sca_rank_one(self, rng):
         # the relaxed solutions should come back essentially rank one
         for _ in range(10):

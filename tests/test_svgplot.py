@@ -66,6 +66,22 @@ class TestEmitPlot:
         with pytest.raises(CsvFormatError, match="line 2"):
             emit_plot(path)
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "p_max_dbm,10,proposed,50,nan,0.1",
+            "p_max_dbm,10,proposed,50,1.5,inf",
+            "p_max_dbm,nan,proposed,50,1.5,0.1",
+        ],
+    )
+    def test_non_finite_number_reports_line(self, tmp_path, row):
+        # a nan mean gave an SVG with nan coordinates
+        path = write_sample(tmp_path, HEADER + "\n" + row + "\n")
+        out = tmp_path / "plot.svg"
+        with pytest.raises(CsvFormatError, match="line 2: non-finite"):
+            emit_plot(path, out)
+        assert not out.exists()
+
     def test_field_count_checked(self, tmp_path):
         bad = HEADER + "\np_max_dbm,10,proposed\n"
         path = write_sample(tmp_path, bad)
