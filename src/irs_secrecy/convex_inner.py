@@ -7,12 +7,12 @@ arguments stay >= the noise constants on the feasible set), so projected
 gradient steps with Armijo backtracking converge without any further cone
 machinery.
 
-The solver works on one real vector x: the stack (W_1, ..., W_K, Z) of
-N x N blocks, flattened and viewed as interleaved (re, im) pairs. For
-complex L and X, Re<L, X> is then the dot product of their real views, and
-for Hermitian A, tr(A X) = Re<A, X>; so every log argument is one real row
-times x, and the objective, its gradient and every inner product are plain
-real matrix-vector products.
+The solver works on one real vector x (``metrics._flatten``): the stack
+(W_1, ..., W_K, Z) of N x N blocks, flattened and viewed as interleaved
+(re, im) pairs. For complex L and X, Re<L, X> is then the dot product of
+their real views, and for Hermitian A, tr(A X) = Re<A, X>; so every log
+argument is one real row times x, and the objective, its gradient and every
+inner product are plain real matrix-vector products.
 
 The constraint set is spectral, which makes the exact Euclidean projection
 cheap (eigenvalue clip plus a water-filling shift when the power budget
@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .metrics import LN2
+from .metrics import LN2, _flatten, _unflatten
 from .solution import TransmitSolution, total_power
 
 ARMIJO_C = 1e-4
@@ -44,13 +44,6 @@ class SolverStatus(str, Enum):
 
 class InnerSolverError(RuntimeError):
     """Raised when a numerical failure has to propagate with context."""
-
-
-def _flatten(W: np.ndarray, Z: np.ndarray, an_enabled: bool = True) -> np.ndarray:
-    """x for (W, Z): the stack W_1..W_K, Z as one real vector of (re, im)
-    pairs. Without AN, Z is pinned to 0 and x stops before its block."""
-    blocks = np.concatenate([W, Z[None]]) if an_enabled else np.ascontiguousarray(W)
-    return blocks.astype(complex, copy=False).reshape(-1).view(float)
 
 
 @dataclass
@@ -100,8 +93,7 @@ class SubproblemSpec:
 
     def _blocks(self, flat: np.ndarray) -> np.ndarray:
         """(..., K + 1, N, N) complex view of real vectors over x."""
-        n = math.isqrt(flat.shape[-1] // (2 * self.rows.shape[0]))
-        return flat.view(complex).reshape(*flat.shape[:-1], -1, n, n)
+        return _unflatten(flat, math.isqrt(self.rows.shape[1] // (2 * self.rows.shape[0])))
 
     @property
     def a_mats(self) -> np.ndarray:
@@ -256,7 +248,7 @@ def solve(
     rows, lin, weights = spec.rows[:, : x.size], spec.lin[: x.size], spec.weights
 
     def project(y):
-        out, vals = _project_exact(y.view(complex).reshape(-1, n, n), spec.p_max)
+        out, vals = _project_exact(_unflatten(y, n), spec.p_max)
         return out.reshape(-1).view(float), vals
 
     def gradient(v):
@@ -326,7 +318,7 @@ def solve(
         delta = min(max(step_sq / sy, 1e-8), 1e8) if sy > 0.0 else 1e8
         x, q, g, eigs = xt, qt, gt, eigs_t
 
-    blocks = x.view(complex).reshape(-1, n, n)
+    blocks = _unflatten(x, n)
     W = blocks[:k]
     Z = blocks[k] if spec.an_enabled else np.zeros((n, n), dtype=complex)
     if eigs.shape[0] == k:  # projected without AN: Z's eigenvalues are 0

@@ -134,9 +134,11 @@ class PhaseObjective:
         )
 
     def _log_args(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-term log arguments and the stacked X_t h_t they came from."""
-        h = self.link_h @ u
-        y = np.matmul(self.kernels, h.reshape(self.kernels.shape[:2] + (1,))).ravel()
+        """Per-term log arguments and the stacked X_t h_t they came from, at
+        one phase vector u (M,) or, with a leading axis, at each row of u."""
+        h = (self.link_h @ u.T).T
+        y = np.matmul(self.kernels, h.reshape(h.shape[:-1] + self.kernels.shape[:2] + (1,)))
+        y = y.reshape(h.shape)
         vals = (np.conj(h) * y).real @ self.segments + self.consts
         if not (vals > 0).all():  # a NaN argument fails too
             raise ValueError("non-positive log argument in phase objective")
@@ -150,10 +152,8 @@ class PhaseObjective:
         return (f, args) if return_args else f
 
     def value_batch(self, U: np.ndarray) -> np.ndarray:
-        h = U @ self.link_h.T
-        y = np.matmul(self.kernels, h.reshape(h.shape[:1] + self.kernels.shape[:2] + (1,)))
-        quad = (np.conj(h) * y.reshape(h.shape)).real @ self.segments
-        return np.log2(quad + self.consts) @ self.weights
+        """f at each row of the (B, M) batch ``U``."""
+        return np.log2(self._log_args(U)[0]) @ self.weights
 
     def euclidean_grad(self, u: np.ndarray) -> np.ndarray:
         vals, y = self._log_args(u)

@@ -34,27 +34,68 @@ def effective_eve_channel(ch: ChannelSet, u: np.ndarray) -> np.ndarray:
     return np.conj(ch.L).T @ u
 
 
+def _flatten(W: np.ndarray, Z: np.ndarray, an_enabled: bool = True) -> np.ndarray:
+    """x for (W, Z): the stack W_1..W_K, Z as one real vector of (re, im)
+    pairs. Without AN, Z is pinned to 0 and x stops before its block."""
+    blocks = np.concatenate([W, Z[None]]) if an_enabled else np.ascontiguousarray(W)
+    return blocks.astype(complex, copy=False).reshape(-1).view(float)
+
+
+def _unflatten(flat: np.ndarray, n: int) -> np.ndarray:
+    """(..., S, n, n) complex view of real vectors over x with n x n blocks."""
+    return flat.view(complex).reshape(*flat.shape[:-1], -1, n, n)
+
+
+def _term_rows(h: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Real rows over x of the channel terms of every log argument.
+
+    x is the (W_1, ..., W_K, Z) stack of r x r blocks as one real vector of
+    (re, im) pairs (:func:`_flatten`), and tr(A X) = Re<A, X> is the dot
+    product of real views for Hermitian A. With A_k = h_k h_k^H and
+    B = b b^H, the (3K + 1, 2 (K + 1) r^2) rows give, times x:
+    signal_k = tr(A_k W_k) (rows 0..K-1), the interference
+    d_k - s2_u = sum_{r != k} tr(A_k W_r) + tr(A_k Z) (rows K..2K-1),
+    leak_k = tr(B W_k) (rows 2K..3K-1) and m - s2_e = tr(B Z) (row 3K).
+    """
+    k, r = h.shape
+    a = np.einsum("kn,kp->knp", h, np.conj(h)).reshape(k, -1).view(float)
+    bb = np.outer(b, np.conj(b)).reshape(-1).view(float)
+    users = np.arange(k)
+    rows = np.zeros((3 * k + 1, k + 1, 2 * r * r))
+    rows[users, users] = a
+    rows[k : 2 * k] = a[:, None, :]
+    rows[k + users, users] = 0.0
+    rows[2 * k + users, users] = bb
+    rows[3 * k, k] = bb
+    return rows.reshape(3 * k + 1, -1)
+
+
+def _term_log_arguments(rows: np.ndarray, x: np.ndarray, ch: ChannelSet):
+    """(n, d, e, m, signal) at x, as :func:`_log_arguments` returns them."""
+    k = (rows.shape[0] - 1) // 3
+    v = rows.dot(x)
+    signal = v[:k]
+    d = v[k : 2 * k] + ch.noise_user
+    m = v[3 * k] + ch.noise_eve
+    return d + signal, d, m + v[2 * k : 3 * k], m, signal
+
+
+def _expansion(W: np.ndarray, Z: np.ndarray, u: np.ndarray, ch: ChannelSet):
+    """Term rows at phases u, x for (W, Z), and the log arguments there."""
+    rows = _term_rows(effective_user_channels(ch, u), effective_eve_channel(ch, u))
+    x = _flatten(W, Z)
+    return rows, x, _term_log_arguments(rows, x, ch)
+
+
 def _log_arguments(W, Z, u, ch):
     """Per-user numerators/denominators of the SINR and eavesdropper terms.
 
     Returns (n, d, e, m, signal): n_k and d_k are the F1/G1 log arguments,
-    e_k and m the G2/F2 ones, and signal_k = tr(W_k A_k), computed so that
-    n_k = d_k + signal_k and e_k = m + leak_k hold exactly in floating point.
+    e_k and m the G2/F2 ones, and signal_k = tr(W_k A_k), from the term rows
+    (:func:`_term_rows`). n_k = d_k + signal_k and e_k = m + leak_k are formed
+    by addition, so they hold exactly in floating point.
     """
-    h = effective_user_channels(ch, u)
-    b = effective_eve_channel(ch, u)
-    # S[k, r] = tr(W_r A_k) = h_k^H W_r h_k
-    S = np.einsum("kn,rnp,kp->kr", np.conj(h), W, h).real
-    zq = np.einsum("kn,np,kp->k", np.conj(h), Z, h).real
-    leak = np.einsum("n,knp,p->k", np.conj(b), W, b).real
-    ez = (np.conj(b) @ Z @ b).real
-
-    signal = np.diagonal(S).copy()
-    d = S.sum(axis=1) - signal + zq + ch.noise_user
-    n = d + signal
-    m = ez + ch.noise_eve
-    e = m + leak
-    return n, d, e, m, signal
+    return _expansion(W, Z, u, ch)[2]
 
 
 def objective_value(W, Z, u, ch: ChannelSet) -> float:

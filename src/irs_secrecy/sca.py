@@ -16,52 +16,19 @@ import numpy as np
 
 from . import convex_inner
 from .channels import ChannelSet
-from .convex_inner import InnerSolverError, SolverStatus, SubproblemSpec, _flatten
+from .convex_inner import InnerSolverError, SolverStatus, SubproblemSpec
 from .metrics import (
     LN2,
+    _expansion,
     _f_and_sum_secrecy,
+    _flatten,
+    _term_log_arguments,
+    _term_rows,
+    _unflatten,
     effective_eve_channel,
     effective_user_channels,
 )
 from .solution import HistoryRecord, RunHistory, TransmitSolution, hermitize, total_power
-
-
-def _term_rows(h: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Real rows over x of the channel terms of every log argument.
-
-    x is the (W_1, ..., W_K, Z) stack of r x r blocks as one real vector of
-    (re, im) pairs (``convex_inner._flatten``), and tr(A X) = Re<A, X> is
-    the dot product of real views for Hermitian A. With A_k = h_k h_k^H and
-    B = b b^H, the (3K + 1, 2 (K + 1) r^2) rows give, times x:
-    signal_k = tr(A_k W_k) (rows 0..K-1), the interference
-    d_k - s2_u = sum_{r != k} tr(A_k W_r) + tr(A_k Z) (rows K..2K-1),
-    leak_k = tr(B W_k) (rows 2K..3K-1) and m - s2_e = tr(B Z) (row 3K).
-    """
-    k, r = h.shape
-    a = np.einsum("kn,kp->knp", h, np.conj(h)).reshape(k, -1).view(float)
-    bb = np.outer(b, np.conj(b)).reshape(-1).view(float)
-    users = np.arange(k)
-    rows = np.zeros((3 * k + 1, k + 1, 2 * r * r))
-    rows[users, users] = a
-    rows[k : 2 * k] = a[:, None, :]
-    rows[k + users, users] = 0.0
-    rows[2 * k + users, users] = bb
-    rows[3 * k, k] = bb
-    return rows.reshape(3 * k + 1, -1)
-
-
-def _term_log_arguments(rows: np.ndarray, x: np.ndarray, ch: ChannelSet):
-    """(n, d, e, m, signal) at x, as ``metrics._log_arguments`` returns them.
-
-    n = d + signal and e = m + leak are formed by addition, so they hold
-    exactly in floating point.
-    """
-    k = (rows.shape[0] - 1) // 3
-    v = rows.dot(x)
-    signal = v[:k]
-    d = v[k : 2 * k] + ch.noise_user
-    m = v[3 * k] + ch.noise_eve
-    return d + signal, d, m + v[2 * k : 3 * k], m, signal
 
 
 def _linearize(rows: np.ndarray, logs):
@@ -90,20 +57,12 @@ def _affine_part(rows: np.ndarray, x: np.ndarray, logs):
     return lin, value1 + value2 - float(lin.dot(x))
 
 
-def _expansion(W: np.ndarray, Z: np.ndarray, u: np.ndarray, ch: ChannelSet):
-    """Term rows at phases u, x for (W, Z), and the log arguments there."""
-    rows = _term_rows(effective_user_channels(ch, u), effective_eve_channel(ch, u))
-    x = _flatten(W, Z)
-    return rows, x, _term_log_arguments(rows, x, ch)
-
-
 def _gradients(W, Z, u, ch: ChannelSet):
     """:func:`_linearize` at (W, Z), each gradient as complex (grad_w, grad_z)."""
     rows, _, logs = _expansion(W, Z, u, ch)
-    n = W.shape[-1]
     out = []
     for value, grad in _linearize(rows, logs):
-        blocks = grad.view(complex).reshape(-1, n, n)
+        blocks = _unflatten(grad, W.shape[-1])
         out.append((value, blocks[:-1], blocks[-1]))
     return out
 
@@ -133,9 +92,8 @@ class Linearization:
     grad_z: np.ndarray
 
     def value_at(self, W: np.ndarray, Z: np.ndarray) -> float:
-        dw = np.einsum("kij,kij->", np.conj(self.grad_w), W - self.w_point).real
-        dz = np.einsum("ij,ij->", np.conj(self.grad_z), Z - self.z_point).real
-        return float(self.value + dw + dz)
+        dx = _flatten(W - self.w_point, Z - self.z_point)  # Re<grad, dX> is a dot
+        return float(self.value + _flatten(self.grad_w, self.grad_z).dot(dx))
 
 
 def linearize_g1(W, Z, u, ch: ChannelSet) -> Linearization:
@@ -253,8 +211,8 @@ def run_sca(
     S is replaced by its projection onto S.
 
     The phases, and so the channels, are fixed for the whole call, so the
-    term rows (:func:`_term_rows`) and the :class:`SubproblemSpec` are built
-    once; each round replaces only the spec's affine part (``lin`` and
+    term rows (``metrics._term_rows``) and the :class:`SubproblemSpec` are
+    built once; each round replaces only the spec's affine part (``lin`` and
     ``affine_const``). Each iterate's log arguments are one product of the
     rows with x; they give the record's f and sum_secrecy and linearize the
     next round. The start the loop solves from is checked once; its

@@ -153,7 +153,7 @@ def _config_for(spec: SweepSpec, value, seed: int) -> ScenarioConfig:
 
 
 def _run_one(scheme: str, ch: ChannelSet, cfg: ScenarioConfig):
-    """``(solution, history)`` of one scheme on the channels ``ch``.
+    """``(solution, history, breakdown)`` of one scheme on the channels ``ch``.
 
     The phase-optimizing schemes run from a portfolio of starts: all-ones
     plus one aligned to each user. The aligned starts let the alternation
@@ -162,13 +162,15 @@ def _run_one(scheme: str, ch: ChannelSet, cfg: ScenarioConfig):
     then by final objective, wins; ``min`` keeps the first of equal starts.
     """
     if scheme == "baseline1":
-        return baseline_random_phase(ch, cfg)
-    solver = {"proposed": optimize, "baseline2": baseline_no_an}[scheme]
-    starts = [np.ones(ch.num_irs_elements, dtype=complex)]
-    starts += [aligned_start(ch, k) for k in range(ch.num_users)]
+        runs = [baseline_random_phase(ch, cfg)]
+    else:
+        solver = {"proposed": optimize, "baseline2": baseline_no_an}[scheme]
+        starts = [np.ones(ch.num_irs_elements, dtype=complex)]
+        starts += [aligned_start(ch, k) for k in range(ch.num_users)]
+        runs = (solver(ch, cfg, u_init=u0) for u0 in starts)
     return min(
-        (solver(ch, cfg, u_init=u0) for u0 in starts),
-        key=lambda run: (-secrecy_rates(run[0], ch).sum_secrecy, run[1].f_trace()[-1]),
+        ((sol, history, secrecy_rates(sol, ch)) for sol, history in runs),
+        key=lambda run: (-run[2].sum_secrecy, run[1].f_trace()[-1]),
     )
 
 
@@ -182,8 +184,7 @@ def _run_row(variable: str, job: tuple, audit: list | None) -> ResultRow:
     value, label, ri, seed, ch, cfg, scheme = job
     t0 = time.perf_counter()
     try:
-        sol, history = _run_one(scheme, ch, cfg)
-        breakdown = secrecy_rates(sol, ch)
+        _, history, breakdown = _run_one(scheme, ch, cfg)
         outer = max(r.iteration for r in history.records)
         status = "ok"
     except Exception as exc:  # recorded, never aborts the sweep
@@ -217,12 +218,10 @@ def _run_jobs(
     variable: str, values, labels, jobs, out_dir, write_audit: bool, plot_name="summary.svg"
 ) -> SweepResult:
     """Run the jobs in order, one row each, then summarize and write the outputs."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     audit = [] if write_audit else None
     rows = [_run_row(variable, job, audit) for job in jobs]
     summary_rows = _summarize(variable, values, labels, rows)
-    return _write_outputs(out_dir, rows, summary_rows, audit, plot_name)
+    return _write_outputs(Path(out_dir), rows, summary_rows, audit, plot_name)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -273,7 +272,8 @@ def _write_outputs(
     audit: list | None = None,
     plot_name: str = "summary.svg",
 ) -> SweepResult:
-    """Write the CSV files, audit.jsonl given entries, and a plot of any summary data."""
+    """Create out_dir; write the CSVs, audit.jsonl given entries, and a plot of any summary."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / "results.csv"
     summary_path = out_dir / "summary.csv"
     timing_path = out_dir / "timing.csv"

@@ -123,6 +123,8 @@ class TestSweepCommand:
         assert code == 2
         assert "error: H has a non-finite entry" in capsys.readouterr().err
         assert not (tmp_path / "out" / "results.csv").exists()
+        # the output directory is made only once there are rows to write
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main([

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from irs_secrecy.channels import ChannelSet
-from irs_secrecy.metrics import objective_value, secrecy_rates
-from irs_secrecy.solution import TransmitSolution, total_power
+from irs_secrecy.metrics import _log_arguments, objective_value, secrecy_rates
+from irs_secrecy.solution import TransmitSolution, hermitize, total_power
 from tests.conftest import random_channelset, random_solution, random_unit_modulus
 
 
@@ -34,6 +34,22 @@ def eve_vector_form(k, w, Z, u, ch):
     signal = abs(cascade @ w[k]) ** 2
     an = (cascade @ Z @ np.conj(cascade)).real
     return np.log2(1.0 + signal / (an + ch.noise_eve))
+
+
+def log_arguments_reference(W, Z, u, ch):
+    """(n, d, e, m, signal) as einsum quadratic forms h^H X h on the effective
+    channels, independent of the term rows that metrics evaluates through."""
+    h = np.einsum("kmn,m->kn", np.conj(ch.G), u)
+    b = np.conj(ch.L).T @ u
+    # S[k, r] = tr(W_r A_k) = h_k^H W_r h_k
+    S = np.einsum("kn,rnp,kp->kr", np.conj(h), W, h).real
+    zq = np.einsum("kn,np,kp->k", np.conj(h), Z, h).real
+    leak = np.einsum("n,knp,p->k", np.conj(b), W, b).real
+    ez = (np.conj(b) @ Z @ b).real
+    signal = np.diagonal(S).copy()
+    d = S.sum(axis=1) - signal + zq + ch.noise_user
+    m = ez + ch.noise_eve
+    return d + signal, d, m + leak, m, signal
 
 
 def rank_one_solution(rng, ch, power=4.0):
@@ -107,6 +123,31 @@ class TestEveCapacity:
             assert capacity[k] == pytest.approx(
                 eve_vector_form(k, sol.w, sol.Z, sol.u, ch), rel=1e-10
             )
+
+
+class TestLogArguments:
+    """``_log_arguments`` runs on the term rows that the SCA and the inner
+    solver share, so it is checked here against a separate einsum kernel."""
+
+    # (K, M, N_T): K > N_T, N_T = 1 and M = 1 included
+    @pytest.mark.parametrize(
+        "k, m, n", [(1, 1, 1), (3, 1, 2), (4, 5, 2), (2, 6, 1), (1, 3, 4), (3, 4, 3), (5, 2, 3)]
+    )
+    def test_matches_einsum_reference(self, rng, k, m, n):
+        ch = random_channelset(rng, num_users=k, num_irs=m, num_bs=n)
+        for power in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            sol = random_solution(rng, ch, power=power)
+
+            def skew(shape):
+                a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                return power * (a - hermitize(a))
+
+            W, Z = sol.W + skew(sol.W.shape), sol.Z + skew(sol.Z.shape)
+            got = _log_arguments(W, Z, sol.u, ch)
+            for name, a, b in zip("ndems", got, log_arguments_reference(W, Z, sol.u, ch)):
+                assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b)), (name, power)
+            n_, d, _, _, signal = got
+            assert np.array_equal(n_, d + signal)
 
 
 class TestSecrecyRates:
