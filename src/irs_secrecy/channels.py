@@ -4,8 +4,8 @@ Geometry: the BS sits at the origin, the IRS on the positive x axis at
 ``bs_irs_distance``. Users fall uniformly (in area) inside an annulus sector
 facing the IRS (inner radius 20 m, outer radius ``cell_radius``, 120 degree
 aperture). Direct BS-user and BS-eavesdropper links are blocked, so the only
-propagation paths run through the IRS; the BS-eavesdropper distance ``r_be``
-is carried for labelling but does not enter any channel.
+propagation paths run through the IRS, and the eavesdropper is placed by its
+IRS distance ``r_re`` alone.
 
 Small-scale fading is Rayleigh: each entry of H, g_k, l is an independent
 circularly-symmetric complex Gaussian whose variance equals the log-distance
@@ -43,7 +43,8 @@ class ChannelSet:
     G : (K, M, N_T) effective cascades diag(conj(g_k)) @ H, precomputed
     L : (M, N_T)    effective cascade diag(conj(l)) @ H, precomputed
 
-    NaN or inf in H, g or l is rejected: a solver SVD can hang on it.
+    NaN or inf in H, g or l, and an empty K, M or N_T, are rejected: a solver
+    SVD can hang on the first, and the solvers fail deep inside on the second.
     """
 
     H: np.ndarray
@@ -60,7 +61,10 @@ class ChannelSet:
         l = np.asarray(self.l, dtype=complex).ravel()
         if H.ndim != 2:
             raise ValueError("H must be a 2-D matrix")
-        m, _ = H.shape
+        m, nt = H.shape
+        for name, size in (("K", g.shape[0]), ("M", m), ("N_T", nt)):
+            if size == 0:
+                raise ValueError(f"{name} must be >= 1, got 0")
         if g.shape[1] != m:
             raise ValueError(f"g rows must have length M={m}, got {g.shape[1]}")
         if l.shape[0] != m:

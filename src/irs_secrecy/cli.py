@@ -8,7 +8,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ScenarioConfig
-from .sweep import SCHEMES, SweepSpec, run_case_study, run_sweep
+from .svgplot import emit_plot
+from .sweep import SCHEMES, SWEEP_VARIABLES, SweepSpec, run_case_study, run_sweep
 
 OUT_DIR_ENV = "IRS_SECRECY_OUT"
 
@@ -75,8 +76,6 @@ def _cmd_case_study(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    from .svgplot import emit_plot
-
     out = emit_plot(args.csv, args.out)
     print(f"wrote {out}")
     return 0
@@ -91,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="Monte-Carlo sweep over power or user count")
-    sweep.add_argument("--variable", choices=("p_max_dbm", "num_users"), default="p_max_dbm")
+    sweep.add_argument("--variable", choices=SWEEP_VARIABLES, default="p_max_dbm")
     sweep.add_argument("--values", default="0,10,20,30,40", help="comma-separated sweep values")
     sweep.add_argument("--schemes", default=",".join(SCHEMES))
     sweep.add_argument("--realizations", type=int, default=50)

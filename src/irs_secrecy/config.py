@@ -25,7 +25,7 @@ class ScenarioConfig:
 
     Defaults: 40 dBm transmit power budget, -110 dBm noise at users and
     eavesdropper, 1e-3 convergence tolerances, 500 m cell with the blocked
-    sector served by an IRS 50 m from the BS.
+    sector served by an IRS 50 m from the BS, eavesdropper 250 m from the IRS.
     """
 
     num_users: int = 3
@@ -35,7 +35,6 @@ class ScenarioConfig:
     noise_user: float = 1e-14      # watts (-110 dBm)
     noise_eve: float = 1e-14       # watts (-110 dBm)
     cell_radius: float = 500.0     # m
-    r_be: float = 200.0            # BS-eavesdropper distance, m
     r_re: float = 250.0            # IRS-eavesdropper distance, m
     bs_irs_distance: float = 50.0  # m
     pl0_db: float = 30.0           # reference loss at 1 m, dB
@@ -75,7 +74,7 @@ class ScenarioConfig:
             raise ValueError(f"p_max must be positive, got {self.p_max}")
         if self.noise_user <= 0 or self.noise_eve <= 0:
             raise ValueError("noise powers must be positive")
-        for name in ("cell_radius", "r_be", "r_re", "bs_irs_distance"):
+        for name in ("cell_radius", "r_re", "bs_irs_distance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.tol_manifold <= 0 or self.tol_outer <= 0:

@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .metrics import LN2, _flatten, _unflatten
-from .solution import TransmitSolution, total_power
+from .solution import TransmitSolution
 
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 60
@@ -116,10 +116,7 @@ class SubproblemSpec:
 class SolverReport:
     objective: float
     iterations: int
-    final_step_norm: float
     residual: float
-    power_slack: float
-    min_eigenvalue: float
     status: SolverStatus
     step_size: float = 1.0  # first trial step of the next iteration at exit
     # (K + 1, N_T) eigenvalues of the returned W_1..W_K, Z, ascending per
@@ -146,10 +143,15 @@ def subproblem_objective(spec: SubproblemSpec, W: np.ndarray, Z: np.ndarray) -> 
     return _evaluate(spec, _flatten(W, Z, spec.an_enabled))[1]
 
 
+def _gradient(v: np.ndarray, weights: np.ndarray, rows: np.ndarray, lin: np.ndarray):
+    """Real gradient over x of the objective whose log arguments at x are ``v``."""
+    return -(weights / (LN2 * v)).dot(rows) - lin
+
+
 def subproblem_gradient(spec: SubproblemSpec, W: np.ndarray, Z: np.ndarray):
     """Hermitian gradients (dW, dZ) of the subproblem objective."""
     v = spec.rows.dot(_flatten(W, Z)) + spec.consts
-    blocks = spec._blocks(-(spec.weights / (LN2 * v)).dot(spec.rows) - spec.lin)
+    blocks = spec._blocks(_gradient(v, spec.weights, spec.rows, spec.lin))
     return blocks[:-1], blocks[-1]
 
 
@@ -251,9 +253,6 @@ def solve(
         out, vals = _project_exact(_unflatten(y, n), spec.p_max)
         return out.reshape(-1).view(float), vals
 
-    def gradient(v):
-        return -(weights / (LN2 * v)).dot(rows) - lin
-
     def unit_step_residual(g):
         # norm of the gradient mapping at unit reference step; zero exactly
         # at KKT points of the subproblem
@@ -261,9 +260,8 @@ def solve(
         return float(np.sqrt(d.dot(d)))
 
     v, q = _evaluate(spec, x)
-    g = gradient(v)
+    g = _gradient(v, weights, rows, lin)
     delta = min(max(step_size, 1.0), 1e8)
-    step_norm = 0.0
     residual = np.inf
     status = SolverStatus.MAX_ITERS
     iterations = 0
@@ -308,12 +306,11 @@ def solve(
             )
         if status is not SolverStatus.MAX_ITERS:
             break
-        step_norm = float(step)
         # a small accepted displacement is only a hint: confirm with the
         # unit-step residual next round (a huge step size can fake smallness)
-        residual = step_norm / delta
+        residual = float(step) / delta
         check_residual = residual <= tol * (1.0 + abs(qt))
-        gt = gradient(vt)
+        gt = _gradient(vt, weights, rows, lin)
         sy = float(s.dot(gt - g))
         delta = min(max(step_sq / sy, 1e-8), 1e8) if sy > 0.0 else 1e8
         x, q, g, eigs = xt, qt, gt, eigs_t
@@ -326,10 +323,7 @@ def solve(
     report = SolverReport(
         objective=q,
         iterations=iterations,
-        final_step_norm=step_norm,
         residual=residual,
-        power_slack=spec.p_max - total_power(W, Z),
-        min_eigenvalue=float(eigs.min()),
         status=status,
         step_size=delta,
         eigenvalues=eigs,

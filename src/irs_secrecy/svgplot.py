@@ -10,11 +10,21 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .sweep import SUMMARY_COLUMNS
+# header of summary.csv: the sweep writes it, the parser below checks it
+SUMMARY_COLUMNS = (
+    "sweep_variable",
+    "sweep_value",
+    "scheme",
+    "num_realizations",
+    "mean_sum_secrecy",
+    "std_sum_secrecy",
+)
 
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 78, 24, 24, 58
 PALETTE = ("#1f6fb4", "#d95f02", "#2c8c4b", "#7a52a8", "#b22222", "#6b6b6b")
+# escapes CSV names as XML text (xml.sax.saxutils imports urllib.request: +7 MB)
+XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 AXIS_LABELS = {
     "p_max_dbm": "maximum transmit power (dBm)",
@@ -126,7 +136,8 @@ def emit_plot(csv_path, out_path=None) -> Path:
         )
     parts.append(
         f'<text x="{(MARGIN_L + WIDTH - MARGIN_R) / 2:.1f}" y="{HEIGHT - 16}" font-size="14" '
-        f'text-anchor="middle" font-family="sans-serif">{AXIS_LABELS.get(variable, variable)}</text>'
+        'text-anchor="middle" font-family="sans-serif">'
+        f"{AXIS_LABELS.get(variable, variable).translate(XML_TEXT)}</text>"
     )
     parts.append(
         f'<text x="18" y="{(MARGIN_T + HEIGHT - MARGIN_B) / 2:.1f}" font-size="14" '
@@ -159,7 +170,7 @@ def emit_plot(csv_path, out_path=None) -> Path:
         )
         parts.append(
             f'<text x="{WIDTH - 140}" y="{ly + 4}" font-size="12" '
-            f'font-family="sans-serif">{scheme}</text>'
+            f'font-family="sans-serif">{scheme.translate(XML_TEXT)}</text>'
         )
 
     parts.append("</svg>")

@@ -21,6 +21,7 @@ from .config import ScenarioConfig, dbm_to_watts, derive_seed
 from .manifold import aligned_start
 from .metrics import secrecy_rates
 from .orchestrator import baseline_no_an, baseline_random_phase, optimize
+from .svgplot import SUMMARY_COLUMNS, emit_plot
 
 SWEEP_VARIABLES = ("p_max_dbm", "num_users")
 SCHEMES = ("proposed", "baseline1", "baseline2")
@@ -36,14 +37,6 @@ RESULTS_COLUMNS = (
     "sum_secrecy",
     "per_user_secrecy",
     "outer_iterations",
-)
-SUMMARY_COLUMNS = (
-    "sweep_variable",
-    "sweep_value",
-    "scheme",
-    "num_realizations",
-    "mean_sum_secrecy",
-    "std_sum_secrecy",
 )
 TIMING_COLUMNS = ("sweep_variable", "sweep_value", "scheme", "realization", "wall_time_ms")
 
@@ -289,8 +282,6 @@ def _write_outputs(
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
     plot_path = None
     if any(s["num_realizations"] for s in summary_rows):
-        from .svgplot import emit_plot  # svgplot imports this module
-
         plot_path = emit_plot(summary_path, out_dir / plot_name)
     return SweepResult(
         results_path, summary_path, timing_path, audit_path, rows, summary_rows, plot_path
@@ -314,15 +305,16 @@ def run_case_study(
 ) -> SweepResult:
     """User-count sweep of the proposed scheme over three array geometries.
 
-    Fixed 20 dBm budget with the eavesdropper 200 m from the BS and 250 m
-    from the IRS; the three curves are (N_T, M) = (6, 6), (10, 6), (6, 10),
-    labelled in the scheme column. The summary is plotted to case_study.svg.
+    Fixed 20 dBm budget and (N_T, M, K) axes: the three curves are (N_T, M)
+    = (6, 6), (10, 6), (6, 10), labelled in the scheme column, over the user
+    counts ``k_values``; every other setting, ``r_re`` among them, comes from
+    ``base_config``. The summary is plotted to case_study.svg.
     """
     if not k_values or not _positive_integers(k_values):
         raise ValueError("k_values must be positive integers")
     _check_axis("k_values", k_values, num_realizations)
     base = base_config if base_config is not None else ScenarioConfig()
-    base = replace(base, p_max=dbm_to_watts(20.0), r_be=200.0, r_re=250.0)
+    base = replace(base, p_max=dbm_to_watts(20.0))
     k_max = int(max(k_values))
     # one draw per (geometry, realization) at k_max users; the K-user
     # instance takes the first K, pairing the means across the K axis

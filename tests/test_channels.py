@@ -69,7 +69,7 @@ class TestScenarioConfig:
             # NaN passed every "<= 0" check and failed later, in the solvers
             ("noise_user", float("nan")),
             ("p_max", float("inf")),
-            ("r_be", float("nan")),
+            ("r_re", float("nan")),
             ("num_users", float("nan")),
             ("tol_outer", float("nan")),
             ("tol_manifold", 0.0),
@@ -111,6 +111,11 @@ class TestScenarioConfig:
     def test_json_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown"):
             ScenarioConfig.from_json(json.dumps({"num_userz": 3}))
+
+    def test_removed_r_be_is_unknown(self):
+        # the BS-eavesdropper distance entered no channel: the direct links are blocked
+        with pytest.raises(ValueError, match=r"unknown scenario config fields: \['r_be'\]"):
+            ScenarioConfig.from_json('{"r_be": 200.0}')
 
 
 class TestGenerateScenario:
@@ -236,6 +241,22 @@ class TestChannelSetSerialization:
                     noise_user=noise_user,
                     noise_eve=noise_eve,
                 )
+
+    @pytest.mark.parametrize(
+        "name,shapes",
+        [
+            ("K", ((3, 2), (0, 3), 3)),
+            ("M", ((0, 2), (1, 0), 0)),
+            ("N_T", ((3, 0), (1, 3), 3)),
+        ],
+        ids=["K", "M", "N_T"],
+    )
+    def test_empty_dimension_rejected(self, name, shapes):
+        # each passed, and optimize and baseline_random_phase then failed
+        # deep inside the solvers (empty argmax, IndexError, ZeroDivisionError)
+        h, g, l = (np.ones(shape) for shape in shapes)
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
+            ChannelSet(H=h, g=g, l=l, noise_user=1.0, noise_eve=1.0)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     @pytest.mark.parametrize("name", ["H", "g", "l"])

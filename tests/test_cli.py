@@ -89,6 +89,7 @@ class TestSweepCommand:
             ('{"num_users": true}', "num_users must be an integer, got True"),
             # the removed option is an unknown field, not silently ignored
             ('{"normalize_noise": "no"}', "unknown scenario config fields: ['normalize_noise']"),
+            ('{"r_be": 300.0}', "unknown scenario config fields: ['r_be']"),
             # true ran with 1 W of noise, and "10" failed inside a comparison
             ('{"noise_user": true}', "noise_user must be a real number, got True"),
             ('{"p_max": "10"}', "p_max must be a real number, got '10'"),

@@ -94,3 +94,12 @@ class TestEmitPlot:
         out = emit_plot(write_sample(tmp_path))
         root = ET.fromstring(out.read_text())
         assert root.tag.endswith("svg")
+
+    def test_markup_in_names_escaped(self, tmp_path):
+        # a scheme or variable with < or & gave an SVG that no XML parser reads
+        import xml.etree.ElementTree as ET
+
+        path = write_sample(tmp_path, HEADER + "\np<x&,10,a<b&c,1,1.0,0.1\n")
+        root = ET.fromstring(emit_plot(path).read_text())
+        texts = {el.text for el in root.iter("{http://www.w3.org/2000/svg}text")}
+        assert {"a<b&c", "p<x&"} <= texts

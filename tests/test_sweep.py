@@ -317,6 +317,16 @@ class TestCaseStudy:
             run_case_study(TINY, str(tmp_path / "case"), **kwargs)
         assert not (tmp_path / "case").exists()
 
+    def test_eavesdropper_distance_from_config(self, tmp_path):
+        # the study fixed r_re at 250 m, so a config's r_re drew the same channels
+        runs = [
+            run_case_study(cfg, str(tmp_path / name), num_realizations=1, k_values=(1,))
+            for name, cfg in (("default", ScenarioConfig()), ("far", ScenarioConfig(r_re=350.0)))
+        ]
+        default, far = ([row.channel_hash for row in r.rows] for r in runs)
+        assert len(default) == len(far) == 3
+        assert all(a != b for a, b in zip(default, far))
+
     def test_channels_nested_across_user_counts(self, tmp_path):
         # same realization at different K shares the underlying draw, so the
         # seed column matches across K within a configuration
