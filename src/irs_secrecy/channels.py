@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import SECTOR_INNER_RADIUS, ScenarioConfig
 
-SECTOR_INNER_RADIUS = 20.0   # m
 SECTOR_APERTURE = 2.0 * np.pi / 3.0
 
 

@@ -8,6 +8,8 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 
+SECTOR_INNER_RADIUS = 20.0  # m, inner radius of the users' annulus sector
+
 
 def derive_seed(*parts) -> int:
     """Stable 64-bit sub-seed from a label and indices (never Python's hash)."""
@@ -60,6 +62,8 @@ class ScenarioConfig:
                 raise ValueError(f"{f.name} must be {kind}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+            if f.type is float:  # content_hash hashes the noise powers' repr: 1 is not 1.0
+                object.__setattr__(self, f.name, float(value))
         if self.num_users < 1:
             raise ValueError(f"num_users must be >= 1, got {self.num_users}")
         if self.num_bs_antennas <= 1:
@@ -74,7 +78,9 @@ class ScenarioConfig:
             raise ValueError(f"p_max must be positive, got {self.p_max}")
         if self.noise_user <= 0 or self.noise_eve <= 0:
             raise ValueError("noise powers must be positive")
-        for name in ("cell_radius", "r_re", "bs_irs_distance"):
+        if self.cell_radius < SECTOR_INNER_RADIUS:  # the users' sector starts there
+            raise ValueError(f"cell_radius must be >= {SECTOR_INNER_RADIUS}, got {self.cell_radius}")
+        for name in ("r_re", "bs_irs_distance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.tol_manifold <= 0 or self.tol_outer <= 0:

@@ -58,7 +58,6 @@ class SubproblemSpec:
     lin  : (2 (K + 1) N^2,) real gradient of the subtracted affine
            underestimator of G1 + G2
     affine_const : its value at W = 0, Z = 0
-    an_enabled   : when False, Z is pinned to the zero matrix
 
     ``a_mats`` (K, N, N), ``b_mat`` (N, N), ``lin_w`` (K, N, N) and
     ``lin_z`` (N, N) are complex Hermitian views of the same data.
@@ -70,7 +69,6 @@ class SubproblemSpec:
     lin: np.ndarray
     affine_const: float
     p_max: float
-    an_enabled: bool = True
     # per-row log weights, noise constants and log-domain guards
     weights: np.ndarray = field(init=False, repr=False)
     consts: np.ndarray = field(init=False, repr=False)
@@ -126,41 +124,36 @@ class SolverReport:
 
 def _evaluate(spec: SubproblemSpec, x: np.ndarray):
     """(F1/F2 log arguments, objective) at x; the objective is +inf outside
-    the log domain guard. Without AN, x and the rows it meets stop before
-    the Z block."""
-    v = spec.rows[:, : x.size].dot(x) + spec.consts
+    the log domain guard."""
+    v = spec.rows.dot(x) + spec.consts
     if (v <= spec.guard).any():
         return v, np.inf
-    lin_x = spec.lin[: x.size].dot(x)
-    return v, float(-spec.weights.dot(np.log2(v)) - spec.affine_const - lin_x)
+    return v, float(-spec.weights.dot(np.log2(v)) - spec.affine_const - spec.lin.dot(x))
 
 
 def subproblem_objective(spec: SubproblemSpec, W: np.ndarray, Z: np.ndarray) -> float:
-    """F1 + F2 minus the affine part; +inf outside the log domain guard.
-
-    Without AN, Z is pinned to 0 and not read.
-    """
-    return _evaluate(spec, _flatten(W, Z, spec.an_enabled))[1]
+    """F1 + F2 minus the affine part; +inf outside the log domain guard."""
+    return _evaluate(spec, _flatten(W, Z))[1]
 
 
-def _gradient(v: np.ndarray, weights: np.ndarray, rows: np.ndarray, lin: np.ndarray):
+def _gradient(spec: SubproblemSpec, v: np.ndarray):
     """Real gradient over x of the objective whose log arguments at x are ``v``."""
-    return -(weights / (LN2 * v)).dot(rows) - lin
+    return -(spec.weights / (LN2 * v)).dot(spec.rows) - spec.lin
 
 
 def subproblem_gradient(spec: SubproblemSpec, W: np.ndarray, Z: np.ndarray):
     """Hermitian gradients (dW, dZ) of the subproblem objective."""
     v = spec.rows.dot(_flatten(W, Z)) + spec.consts
-    blocks = spec._blocks(_gradient(v, spec.weights, spec.rows, spec.lin))
+    blocks = spec._blocks(_gradient(spec, v))
     return blocks[:-1], blocks[-1]
 
 
 def _project_exact(stack: np.ndarray, p_max: float):
     """Exact Euclidean projection onto {every block PSD, total trace <= p_max}.
 
-    ``stack`` is the (S, N, N) stack of Hermitian blocks: W_1..W_K, then Z
-    when AN is on. Returns the projected stack and the (S, N) eigenvalues it
-    assigned, ascending per block.
+    ``stack`` is the (K + 1, N, N) stack of Hermitian blocks W_1..W_K, Z.
+    Returns the projected stack and the (K + 1, N) eigenvalues it assigned,
+    ascending per block; an all-zero block comes back exactly zero.
 
     The constraint is spectral, so the projection diagonalizes each block and
     projects the concatenated eigenvalue vector onto the simplex-with-budget
@@ -224,8 +217,7 @@ def solve(
     solves, the previous ``SolverReport.eigenvalues``), and the start is
     then checked on it without a decomposition; so the only eigenvalue
     decompositions made are the projections. The iterate is x over the blocks
-    W_1..W_K (and Z when AN is on; without AN the start's Z is not read and
-    Z stays 0), and W and Z are split from it once, at exit.
+    W_1..W_K, Z, and W and Z are split from it once, at exit.
 
     Stops when the unit-step gradient-mapping norm ||X - P(X - grad)||
     drops below ``tol * (1 + |objective|)``. ``step_size`` is the first
@@ -244,10 +236,8 @@ def solve(
     ``SolverReport.eigenvalues``.
     """
     eigs = _check_start(start, spec.p_max, eigenvalues)
-    k, n = spec.num_users, start.Z.shape[0]
-    x = _flatten(start.W, start.Z, spec.an_enabled)
-    # without AN, x stops before the Z block and so do the rows it meets
-    rows, lin, weights = spec.rows[:, : x.size], spec.lin[: x.size], spec.weights
+    n = start.Z.shape[0]
+    x = _flatten(start.W, start.Z)
 
     def project(y):
         out, vals = _project_exact(_unflatten(y, n), spec.p_max)
@@ -260,7 +250,7 @@ def solve(
         return float(np.sqrt(d.dot(d)))
 
     v, q = _evaluate(spec, x)
-    g = _gradient(v, weights, rows, lin)
+    g = _gradient(spec, v)
     delta = min(max(step_size, 1.0), 1e8)
     residual = np.inf
     status = SolverStatus.MAX_ITERS
@@ -310,16 +300,12 @@ def solve(
         # unit-step residual next round (a huge step size can fake smallness)
         residual = float(step) / delta
         check_residual = residual <= tol * (1.0 + abs(qt))
-        gt = _gradient(vt, weights, rows, lin)
+        gt = _gradient(spec, vt)
         sy = float(s.dot(gt - g))
         delta = min(max(step_sq / sy, 1e-8), 1e8) if sy > 0.0 else 1e8
         x, q, g, eigs = xt, qt, gt, eigs_t
 
     blocks = _unflatten(x, n)
-    W = blocks[:k]
-    Z = blocks[k] if spec.an_enabled else np.zeros((n, n), dtype=complex)
-    if eigs.shape[0] == k:  # projected without AN: Z's eigenvalues are 0
-        eigs = np.concatenate([eigs, np.zeros((1, n))])
     report = SolverReport(
         objective=q,
         iterations=iterations,
@@ -328,4 +314,4 @@ def solve(
         step_size=delta,
         eigenvalues=eigs,
     )
-    return TransmitSolution(W=W, Z=Z, u=start.u, w=None), report
+    return TransmitSolution(W=blocks[:-1], Z=blocks[-1], u=start.u, w=None), report

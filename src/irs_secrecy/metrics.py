@@ -34,11 +34,9 @@ def effective_eve_channel(ch: ChannelSet, u: np.ndarray) -> np.ndarray:
     return np.conj(ch.L).T @ u
 
 
-def _flatten(W: np.ndarray, Z: np.ndarray, an_enabled: bool = True) -> np.ndarray:
-    """x for (W, Z): the stack W_1..W_K, Z as one real vector of (re, im)
-    pairs. Without AN, Z is pinned to 0 and x stops before its block."""
-    blocks = np.concatenate([W, Z[None]]) if an_enabled else np.ascontiguousarray(W)
-    return blocks.astype(complex, copy=False).reshape(-1).view(float)
+def _flatten(W: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """x for (W, Z): the stack W_1..W_K, Z as one real vector of (re, im) pairs."""
+    return np.concatenate([W, Z[None]]).astype(complex, copy=False).reshape(-1).view(float)
 
 
 def _unflatten(flat: np.ndarray, n: int) -> np.ndarray:

@@ -116,13 +116,17 @@ def build_subproblem(
     """Package the convex subproblem around the expansion point (W_i, Z_i).
 
     The point's feasibility is checked by :func:`convex_inner.solve`; only
-    its Hermitian part is read, so it is not symmetrized.
+    its Hermitian part is read, so it is not symmetrized. Without AN, Z_i is
+    0 and the term rows' Z block is zeroed: Z meets no channel term, its
+    gradient is exactly 0, and every projection keeps it at 0.
     """
     rows, x, logs = _expansion(W_i, Z_i, u, ch)
-    return _subproblem(rows, x, logs, ch, p_max, an_enabled)
+    if not an_enabled:
+        rows[:, -2 * Z_i.size :] = 0.0  # Z's block: the last 2 N^2 entries of x
+    return _subproblem(rows, x, logs, ch, p_max)
 
 
-def _subproblem(rows, x, logs, ch: ChannelSet, p_max: float, an_enabled: bool):
+def _subproblem(rows, x, logs, ch: ChannelSet, p_max: float):
     """:func:`build_subproblem` from the term rows, x and the log arguments."""
     k = (rows.shape[0] - 1) // 3
     # the spec's rows are n_k - s2_u = signal_k + (d_k - s2_u), exact because
@@ -133,7 +137,6 @@ def _subproblem(rows, x, logs, ch: ChannelSet, p_max: float, an_enabled: bool):
         ch.noise_eve,
         *_affine_part(rows, x, logs),
         p_max=p_max,
-        an_enabled=an_enabled,
     )
 
 
@@ -222,7 +225,8 @@ def run_sca(
 
     ``step_size`` starts the first inner solve; each later round starts from
     the step the previous solve ended with, and the last one is returned as
-    ``history.step_size`` for the caller's next run.
+    ``history.step_size`` for the caller's next run. Without AN the start's
+    Z must be 0, and Z is pinned there as in :func:`build_subproblem`.
     """
     if not 0.0 <= p_max < np.inf:  # NaN fails too
         raise ValueError(f"p_max must be non-negative and finite, got {p_max}")
@@ -251,10 +255,12 @@ def run_sca(
     # the phases are fixed, so the rows are too: each round changes only the
     # surrogate's affine part
     rows = _term_rows(h, b)
+    if not an_enabled:
+        rows[:, -2 * Z.size :] = 0.0  # Z's block: the last 2 r^2 entries of x
     x = _flatten(W, Z)
     logs = _term_log_arguments(rows, x, ch)
     f, sum_secrecy = _f_and_sum_secrecy(*logs[:4])
-    spec = _subproblem(rows, x, logs, ch, p_max, an_enabled)
+    spec = _subproblem(rows, x, logs, ch, p_max)
     history = RunHistory()
     history.append(
         HistoryRecord(

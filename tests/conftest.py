@@ -38,15 +38,10 @@ def random_solution(rng, ch, power=None):
     )
 
 
-def project_blocks(W, Z, p_max, an_enabled):
-    """``_project_exact`` on the stack W_1..W_K[, Z], split back into (W, Z, eigenvalues).
-
-    Without AN only W is projected and Z comes back as the zero matrix.
-    """
-    stack = np.concatenate([W, Z[None]]) if an_enabled else W
-    out, vals = _project_exact(stack, p_max)
-    k = W.shape[0]
-    return out[:k], (out[k] if an_enabled else np.zeros_like(Z)), vals
+def project_blocks(W, Z, p_max):
+    """``_project_exact`` on the stack W_1..W_K, Z, split back into (W, Z, eigenvalues)."""
+    out, vals = _project_exact(np.concatenate([W, Z[None]]), p_max)
+    return out[:-1], out[-1], vals
 
 
 @pytest.fixture

@@ -93,6 +93,8 @@ class TestScenarioConfig:
             ("cell_radius", None),
             ("pl0_db", [30.0]),
             ("tol_outer", 1e-3j),
+            # below the user sector's inner radius, the user draw failed in numpy
+            ("cell_radius", 10.0),
         ],
     )
     def test_invalid_fields_rejected(self, field, value):
@@ -102,6 +104,19 @@ class TestScenarioConfig:
     def test_float_fields_take_ints_and_numpy_floats(self):
         cfg = ScenarioConfig(p_max=10, noise_user=np.float64(1e-14), pl_exp_bs_irs=2)
         assert cfg.p_max == 10 and cfg.noise_user == 1e-14
+
+    def test_cell_radius_may_equal_the_sector_inner_radius(self):
+        cfg = ScenarioConfig(cell_radius=SECTOR_INNER_RADIUS)
+        radii = np.linalg.norm(user_positions(cfg, np.random.default_rng(0)), axis=1)
+        assert np.allclose(radii, SECTOR_INNER_RADIUS)
+
+    def test_integer_spelling_gives_the_same_channel_hash(self):
+        # the same channels hashed differently: content_hash hashes repr(1) or repr(1.0)
+        ints = ScenarioConfig(noise_user=1, noise_eve=1)
+        floats = ScenarioConfig(noise_user=1.0, noise_eve=1.0)
+        assert ints == floats
+        assert all(type(getattr(ints, f)) is float for f in ("noise_user", "noise_eve", "p_max"))
+        assert generate_scenario(ints).content_hash() == generate_scenario(floats).content_hash()
 
     def test_json_round_trip(self):
         cfg = ScenarioConfig(num_users=2, rng_seed=99, r_re=310.0)

@@ -108,6 +108,19 @@ class TestSweepCommand:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "results.csv").exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "case-study"])
+    def test_cell_radius_inside_the_user_sector_rejected(self, tmp_path, capsys, command):
+        # the user draw failed inside numpy, with "error: high - low < 0"
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"cell_radius": 10.0}', encoding="utf-8")
+        code = main([
+            command, "--config", str(cfg), "--values", "1", "--realizations", "1",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "error: cell_radius must be >= 20.0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text", ['{"pl0_db": -4000}', '{"pl_exp_bs_irs": -1000}'])
     def test_overflowing_path_loss_rejected(self, tmp_path, capsys, text):
         # the config is valid, but its path-loss gain overflows to inf: the

@@ -39,17 +39,20 @@ def metrics_style_objective(spec, W, Z, ch, u):
     return f1 + f2 - spec.affine_const - lin
 
 
-def reference_log_args(spec, W, Z):
+def reference_log_args(spec, W, Z, an_enabled=True):
+    """n_k and m of the spec built with ``an_enabled``: without AN, Z meets
+    no channel term."""
+    z_coef = 1.0 if an_enabled else 0.0
     tw = np.einsum("kij,rji->kr", spec.a_mats, W).real
-    tz = np.einsum("kij,ji->k", spec.a_mats, Z).real
+    tz = z_coef * np.einsum("kij,ji->k", spec.a_mats, Z).real
     n = tw.sum(axis=1) + tz + spec.noise_user
-    m = np.einsum("ij,ji->", spec.b_mat, Z).real + spec.noise_eve
+    m = z_coef * np.einsum("ij,ji->", spec.b_mat, Z).real + spec.noise_eve
     return n, m
 
 
-def reference_objective(spec, W, Z):
+def reference_objective(spec, W, Z, an_enabled=True):
     """The subproblem objective spelled out with per-pair einsum traces."""
-    n, m = reference_log_args(spec, W, Z)
+    n, m = reference_log_args(spec, W, Z, an_enabled)
     lin = (
         np.einsum("kij,kij->", np.conj(spec.lin_w), W).real
         + np.einsum("ij,ij->", np.conj(spec.lin_z), Z).real
@@ -57,18 +60,20 @@ def reference_objective(spec, W, Z):
     return -np.log2(n).sum() - spec.num_users * np.log2(m) - (spec.affine_const + lin)
 
 
-def reference_gradient(spec, W, Z):
-    n, m = reference_log_args(spec, W, Z)
+def reference_gradient(spec, W, Z, an_enabled=True):
+    n, m = reference_log_args(spec, W, Z, an_enabled)
     s_a = np.einsum("k,kij->ij", 1.0 / (LN2 * n), spec.a_mats)
     g_w = -s_a[None, :, :] - spec.lin_w
+    if not an_enabled:
+        return g_w, -spec.lin_z
     g_z = -s_a - (spec.num_users / (LN2 * m)) * spec.b_mat - spec.lin_z
     return g_w, g_z
 
 
-def unit_step_residual(spec, sol):
+def unit_step_residual(spec, sol, an_enabled=True):
     """||X - P(X - grad)|| at the returned point, recomputed from scratch."""
-    g_w, g_z = reference_gradient(spec, sol.W, sol.Z)
-    Wr, Zr, _ = project_blocks(sol.W - g_w, sol.Z - g_z, spec.p_max, spec.an_enabled)
+    g_w, g_z = reference_gradient(spec, sol.W, sol.Z, an_enabled)
+    Wr, Zr, _ = project_blocks(sol.W - g_w, sol.Z - g_z, spec.p_max)
     return float(np.sqrt(
         np.linalg.norm(Wr - sol.W) ** 2 + np.linalg.norm(Zr - sol.Z) ** 2
     ))
@@ -92,11 +97,11 @@ class TestKernelMatchesReference:
             W = np.stack([random_psd(rng, n, p_max / (k + 1)) for _ in range(k)])
             Z = random_psd(rng, n, p_max / (k + 1)) if an_enabled else np.zeros((n, n), complex)
             for W_, Z_ in ((W, Z), (hermitize(W * rng.uniform(0.1, 3.0)), Z * 0.5)):
-                q_ref = reference_objective(spec, W_, Z_)
+                q_ref = reference_objective(spec, W_, Z_, an_enabled)
                 q = subproblem_objective(spec, W_, Z_)
                 assert abs(q - q_ref) <= 1e-12 * max(abs(q_ref), 1.0)
                 g_w, g_z = subproblem_gradient(spec, W_, Z_)
-                r_w, r_z = reference_gradient(spec, W_, Z_)
+                r_w, r_z = reference_gradient(spec, W_, Z_, an_enabled)
                 assert relative_gap(g_w, r_w) <= 1e-12
                 assert relative_gap(g_z, r_z) <= 1e-12
 
@@ -121,21 +126,24 @@ class TestProjectExactBudget:
             scale = 10.0 ** rng.uniform(0.0, 9.0)
             raw = rng.standard_normal((k + 1, n, n)) + 1j * rng.standard_normal((k + 1, n, n))
             stack = scale * hermitize(raw)
-            W, Z, _ = project_blocks(stack[:k], stack[k], p_max, an_enabled)
+            if not an_enabled:  # the stack a solve without AN projects
+                stack[k] = 0.0
+            W, Z, _ = project_blocks(stack[:k], stack[k], p_max)
             TransmitSolution(W=W, Z=Z, u=np.ones(1)).validate(p_max)
+            assert an_enabled or np.all(Z == 0)
 
 
 class TestProjectExact:
     def test_feasible_input_unchanged(self, rng):
         ch = random_channelset(rng)
         sol = random_solution(rng, ch, power=2.0)
-        W, Z, _ = project_blocks(sol.W, sol.Z, 5.0, True)
+        W, Z, _ = project_blocks(sol.W, sol.Z, 5.0)
         assert np.allclose(W, sol.W, atol=1e-12)
         assert np.allclose(Z, sol.Z, atol=1e-12)
 
     def test_eigenvalue_clip(self):
         w = np.diag([2.0, -1.0]).astype(complex)
-        W, _, _ = project_blocks(w[None], np.zeros((2, 2), dtype=complex), 100.0, True)
+        W, _, _ = project_blocks(w[None], np.zeros((2, 2), dtype=complex), 100.0)
         vals = np.linalg.eigvalsh(W[0])
         assert vals == pytest.approx([0.0, 2.0], abs=1e-12)
 
@@ -151,19 +159,38 @@ class TestProjectExact:
             for _ in range(k)
         ])
         Z = hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        W, Z, _ = project_blocks(W, Z, p_max, True)
+        W, Z, _ = project_blocks(W, Z, p_max)
         power = np.einsum("kii->", W).real + np.trace(Z).real
         assert power <= p_max * (1 + 1e-9) + 1e-12
         assert np.linalg.eigvalsh(W).min() >= -1e-12
         assert np.linalg.eigvalsh(Z).min() >= -1e-12
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+        k=st.integers(min_value=1, max_value=4),
+        r=st.integers(min_value=1, max_value=4),
+        log_p_max=st.floats(min_value=-6.0, max_value=6.0),
+        log_scale=st.floats(min_value=-6.0, max_value=6.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(seed=1, k=4, r=4, log_p_max=-6.0, log_scale=6.0)  # the budget binds
+    @example(seed=2, k=1, r=1, log_p_max=6.0, log_scale=-6.0)  # it does not
+    def test_zero_block_stays_exactly_zero(self, seed, k, r, log_p_max, log_scale):
+        # a solve without AN projects a stack whose Z block is all zero
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((k + 1, r, r)) + 1j * rng.standard_normal((k + 1, r, r))
+        stack = 10.0 ** log_scale * hermitize(raw)
+        stack[k] = 0.0
+        out, vals = convex_inner._project_exact(stack, 10.0 ** log_p_max)
+        assert np.all(out[k] == 0) and np.all(vals[k] == 0)
 
     def test_idempotent(self, rng):
         n = 3
         W = np.stack([hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
                       for _ in range(2)])
         Z = hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        once = project_blocks(W, Z, 2.0, True)
-        twice = project_blocks(*once[:2], 2.0, True)
+        once = project_blocks(W, Z, 2.0)
+        twice = project_blocks(*once[:2], 2.0)
         assert np.allclose(twice[0], once[0], atol=1e-12)
         assert np.allclose(twice[1], once[1], atol=1e-12)
 
@@ -312,7 +339,7 @@ class TestSolve:
     def test_no_an_mode_keeps_z_zero(self, rng):
         spec, start, _, u = random_spec(rng, an_enabled=False)
         sol, report = solve(spec, start)
-        assert np.all(sol.Z == 0)
+        assert np.all(sol.Z == 0) and np.all(report.eigenvalues[-1] == 0)
         assert report.status == SolverStatus.CONVERGED
 
 
@@ -327,11 +354,10 @@ class TestEntryAndExitSpectrum:
             return original_project(*args)
 
         for _ in range(30):
-            spec, start, _, _ = random_spec(
-                rng, k=int(rng.integers(1, 4)), n=int(rng.integers(1, 5)),
-                p_max=float(10.0 ** rng.uniform(-2.0, 3.0)),
-                an_enabled=bool(rng.integers(0, 2)),
-            )
+            k, n = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            p_max = float(10.0 ** rng.uniform(-2.0, 3.0))
+            an_enabled = bool(rng.integers(0, 2))
+            spec, start, _, _ = random_spec(rng, k=k, n=n, p_max=p_max, an_enabled=an_enabled)
             sol, report = solve(spec, start)
             assert report.status == SolverStatus.CONVERGED
             monkeypatch.setattr(convex_inner, "_project_exact", counting_project)
@@ -343,11 +369,11 @@ class TestEntryAndExitSpectrum:
             assert np.array_equal(again.W, sol.W) and np.array_equal(again.Z, sol.Z)
             # ||X - P(X - t grad)|| at t >= 1 bounds the unit-step residual,
             # up to the eigendecomposition's rounding on the projected input
-            g_w, g_z = reference_gradient(spec, again.W, again.Z)
+            g_w, g_z = reference_gradient(spec, again.W, again.Z, an_enabled)
             noise = 1e-12 * np.sqrt(
                 np.linalg.norm(again.W - g_w) ** 2 + np.linalg.norm(again.Z - g_z) ** 2
             )
-            assert report2.residual >= unit_step_residual(spec, again) - noise
+            assert report2.residual >= unit_step_residual(spec, again, an_enabled) - noise
             assert report2.residual <= 1e-6 * (1.0 + abs(report2.objective))
 
     def test_exit_eigenvalues_match_returned_stack(self, rng):
@@ -513,7 +539,7 @@ class TestStepSize:
         assert 0.0 < report.step_size <= 1e8
         assert report.status != SolverStatus.NUMERICAL_FAILURE
         if report.status == SolverStatus.CONVERGED:
-            assert unit_step_residual(spec, sol) <= 10 * tol * (
+            assert unit_step_residual(spec, sol, an_enabled) <= 10 * tol * (
                 1 + abs(report.objective)
             )
 
@@ -529,9 +555,7 @@ class TestStepSize:
             t = float(np.sqrt(s.dot(s))) / report.residual
             assert t <= 1.0
             g_w, g_z = subproblem_gradient(spec, start.W, start.Z)
-            W, Z, _ = project_blocks(
-                start.W - t * g_w, start.Z - t * g_z, spec.p_max, spec.an_enabled
-            )
+            W, Z, _ = project_blocks(start.W - t * g_w, start.Z - t * g_z, spec.p_max)
             assert np.allclose(W, sol.W, rtol=0, atol=1e-12 * spec.p_max)
             assert np.allclose(Z, sol.Z, rtol=0, atol=1e-12 * spec.p_max)
 

@@ -186,6 +186,15 @@ class TestBaselineNoAn:
         assert total_power(sol.W, sol.Z) <= cfg.p_max * (1 + 1e-9)
         assert hist.is_monotone(slack=1e-6)
 
+    def test_z_exactly_zero_with_span_reduction(self):
+        # test_z_exactly_zero has K + 1 = N_T, so each SCA loop solves in the
+        # full space; here K + 1 < N_T and it solves in the channels' span.
+        # Both run at 40 dBm, the default p_max
+        cfg = small_config(10, num_bs_antennas=6)
+        sol, hist = baseline_no_an(generate_scenario(cfg), cfg)
+        assert np.all(sol.Z == 0)
+        assert hist.is_monotone(slack=1e-6)
+
     def test_full_power_in_beams(self):
         cfg = small_config(11)
         ch = generate_scenario(cfg)

@@ -14,7 +14,8 @@ from irs_secrecy.sca import (
     run_sca,
 )
 from irs_secrecy import convex_inner
-from irs_secrecy.channels import ChannelSet
+from irs_secrecy.channels import ChannelSet, generate_scenario, normalize
+from irs_secrecy.config import ScenarioConfig, dbm_to_watts
 from irs_secrecy.convex_inner import subproblem_gradient, subproblem_objective
 from irs_secrecy.metrics import (
     _log_arguments,
@@ -304,6 +305,19 @@ class TestRunSca:
         assert np.all(sol.Z == 0)
         assert hist.is_monotone(slack=1e-6)
 
+    def test_no_an_z_exactly_zero_in_span_and_at_40_dbm(self, rng):
+        # test_no_an_keeps_z_zero has K + 1 = N_T, where the loop solves in the
+        # full space; with N_T = 6 > K + 1 it solves in the channels' span
+        cases = [(random_channelset(rng, num_users=2, num_bs=6), 4.0)]
+        for num_bs in (3, 6):  # the default geometry's unit-noise channels
+            cfg = ScenarioConfig(num_users=2, num_bs_antennas=num_bs, p_max=dbm_to_watts(40.0))
+            cases.append((normalize(generate_scenario(cfg)), cfg.p_max))
+        for ch, p_max in cases:
+            u = random_unit_modulus(rng, ch.num_irs_elements)
+            sol, hist = run_sca(u, ch, p_max=p_max, an_enabled=False)
+            assert np.all(sol.Z == 0)
+            assert hist.is_monotone(slack=1e-6)
+
 
 def span_projector(u, ch):
     """Projector onto S = span{h_1..h_K, b}, from an SVD with its own rank cut."""
@@ -391,7 +405,7 @@ class TestSpanReduction:
             tol = 1e-6 * (1 + abs(q))
             assert q == pytest.approx(report.objective, abs=tol)
             g_w, g_z = subproblem_gradient(spec, reduced.W, reduced.Z)
-            W_p, Z_p, _ = project_blocks(reduced.W - g_w, reduced.Z - g_z, p_max, True)
+            W_p, Z_p, _ = project_blocks(reduced.W - g_w, reduced.Z - g_z, p_max)
             residual = np.sqrt(
                 np.linalg.norm(W_p - reduced.W) ** 2 + np.linalg.norm(Z_p - reduced.Z) ** 2
             )
