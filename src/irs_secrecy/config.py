@@ -60,10 +60,16 @@ class ScenarioConfig:
             if isinstance(value, bool) or not isinstance(value, kinds):
                 kind = "an integer" if f.type is int else "a real number"
                 raise ValueError(f"{f.name} must be {kind}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
             if f.type is float:  # content_hash hashes the noise powers' repr: 1 is not 1.0
-                object.__setattr__(self, f.name, float(value))
+                try:
+                    value = float(value)
+                except OverflowError:  # an int beyond the float range
+                    raise ValueError(
+                        f"{f.name} must fit in a float, got an integer of {value.bit_length()} bits"
+                    ) from None
+                if not math.isfinite(value):
+                    raise ValueError(f"{f.name} must be finite, got {value}")
+                object.__setattr__(self, f.name, value)
         if self.num_users < 1:
             raise ValueError(f"num_users must be >= 1, got {self.num_users}")
         if self.num_bs_antennas <= 1:

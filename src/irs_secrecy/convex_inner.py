@@ -114,7 +114,7 @@ class SubproblemSpec:
 class SolverReport:
     objective: float
     iterations: int
-    residual: float
+    residual: float  # Frank-Wolfe gap at the returned point, >= objective - min
     status: SolverStatus
     step_size: float = 1.0  # first trial step of the next iteration at exit
     # (K + 1, N_T) eigenvalues of the returned W_1..W_K, Z, ascending per
@@ -215,24 +215,24 @@ def solve(
     ``start.validate`` has accepted it. A caller that has the start's
     (K + 1, N_T) spectrum passes it as ``eigenvalues`` (in a sequence of
     solves, the previous ``SolverReport.eigenvalues``), and the start is
-    then checked on it without a decomposition; so the only eigenvalue
-    decompositions made are the projections. The iterate is x over the blocks
-    W_1..W_K, Z, and W and Z are split from it once, at exit.
+    then checked on it without a decomposition. The iterate is x over the
+    blocks W_1..W_K, Z, and W and Z are split from it once, at exit.
 
-    Stops when the unit-step gradient-mapping norm ||X - P(X - grad)||
-    drops below ``tol * (1 + |objective|)``. ``step_size`` is the first
-    trial step of the first iteration, clamped to [1, 1e8]: the
-    displacement ||X - P(X - t grad)|| grows with t, so only from t >= 1
-    does a displacement at float noise prove stationarity, and a step that
-    backtracking collapsed to ~1e-16 at the end of one solve cannot freeze
-    the next. The same bound (Calamai & More, Math. Programming 1987,
-    Lemma 2.2) makes the first trial the entry test: when its displacement
-    is at most ``tol * (1 + |q|)`` the start is returned as converged, with
-    that displacement, an upper bound on the unit-step residual, as
-    ``residual``; no separate projection is made on entry. The next trial
-    step at exit is reported as ``SolverReport.step_size`` so that a caller
-    solving a sequence of similar subproblems can start the next one from
-    it, and the spectrum of the returned point as
+    Stops when the Frank-Wolfe gap (Jaggi, ICML 2013)
+    ``g.x - p_max min(0, lambda_min(G))``, G the gradient as the (K + 1, N, N)
+    Hermitian stack, is at most ``tol * (1 + |q|)``. The gap is the largest
+    decrease of the linearized objective over the feasible set, so it bounds
+    q - min q in the objective's own units (bits). It is taken at the start
+    of each iteration with one ``eigvalsh``, so a start that passes it is
+    returned without a projection, and the gap at the returned point is
+    ``residual``. Two other exits are ``converged``: a trial that moves the
+    point by eigendecomposition noise only, and backtracking that accepts no
+    step while the gap is at most ``10 * tol * (1 + |q|)`` (else a numerical
+    failure). ``step_size`` is the first trial step, clamped to [1, 1e8] so
+    that a step collapsed at the end of one solve cannot fake the first of
+    these in the next. The next trial step at exit is reported as
+    ``SolverReport.step_size``, for a caller that solves a sequence of
+    similar subproblems, and the spectrum of the returned point as
     ``SolverReport.eigenvalues``.
     """
     eigs = _check_start(start, spec.p_max, eigenvalues)
@@ -243,43 +243,28 @@ def solve(
         out, vals = _project_exact(_unflatten(y, n), spec.p_max)
         return out.reshape(-1).view(float), vals
 
-    def unit_step_residual(g):
-        # norm of the gradient mapping at unit reference step; zero exactly
-        # at KKT points of the subproblem
-        d = project(x - g)[0] - x
-        return float(np.sqrt(d.dot(d)))
+    def frank_wolfe_gap(x, g):
+        low = np.linalg.eigvalsh(_unflatten(g, n)).min()
+        return float(g.dot(x) - spec.p_max * min(0.0, low))
 
     v, q = _evaluate(spec, x)
     g = _gradient(spec, v)
     delta = min(max(step_size, 1.0), 1e8)
-    residual = np.inf
     status = SolverStatus.MAX_ITERS
     iterations = 0
-    entry = True  # the next trial is the first one, with delta >= 1
-    check_residual = False
 
     for iterations in range(1, max_iters + 1):
-        if check_residual:
-            residual = unit_step_residual(g)
-            if residual <= tol * (1.0 + abs(q)):
-                status = SolverStatus.CONVERGED
-                break
+        residual = frank_wolfe_gap(x, g)
+        if residual <= tol * (1.0 + abs(q)):
+            status = SolverStatus.CONVERGED
+            break
         x_norm = float(np.sqrt(x.dot(x)))
         for _ in range(MAX_BACKTRACKS):
             xt, eigs_t = project(x - delta * g)
             s = xt - x
             step_sq = float(s.dot(s))
-            step = np.sqrt(step_sq)
-            if entry and step <= tol * (1.0 + abs(q)):
-                # the displacement ||X - P(X - t grad)|| grows with t, so at
-                # t >= 1 it bounds the unit-step residual from above
-                residual = step
-                status = SolverStatus.CONVERGED
-                break
-            entry = False
-            if step <= 1e-13 * (1.0 + x_norm):
+            if np.sqrt(step_sq) <= 1e-13 * (1.0 + x_norm):
                 # below eigendecomposition noise: the map cannot move the point
-                residual = step / delta
                 status = SolverStatus.CONVERGED
                 break
             vt, qt = _evaluate(spec, xt)
@@ -288,7 +273,6 @@ def solve(
             delta *= 0.5
         else:
             # no step accepted: float-level stationarity or a genuine failure
-            residual = unit_step_residual(g)
             status = (
                 SolverStatus.CONVERGED
                 if residual <= 10.0 * tol * (1.0 + abs(q))
@@ -296,14 +280,12 @@ def solve(
             )
         if status is not SolverStatus.MAX_ITERS:
             break
-        # a small accepted displacement is only a hint: confirm with the
-        # unit-step residual next round (a huge step size can fake smallness)
-        residual = float(step) / delta
-        check_residual = residual <= tol * (1.0 + abs(qt))
         gt = _gradient(spec, vt)
         sy = float(s.dot(gt - g))
         delta = min(max(step_sq / sy, 1e-8), 1e8) if sy > 0.0 else 1e8
         x, q, g, eigs = xt, qt, gt, eigs_t
+    else:
+        residual = frank_wolfe_gap(x, g)
 
     blocks = _unflatten(x, n)
     report = SolverReport(

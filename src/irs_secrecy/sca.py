@@ -221,7 +221,8 @@ def run_sca(
     next round. The start the loop solves from is checked once; its
     spectrum gives round 0's rank-one defect and goes to the first solve,
     and each later solve gets the spectrum the previous one reported, so
-    the solves decompose nothing but their projections.
+    the solves decompose no start: only their projections and the
+    gradients of their gap tests.
 
     ``step_size`` starts the first inner solve; each later round starts from
     the step the previous solve ended with, and the last one is returned as

@@ -95,6 +95,10 @@ class TestScenarioConfig:
             ("tol_outer", 1e-3j),
             # below the user sector's inner radius, the user draw failed in numpy
             ("cell_radius", 10.0),
+            # an int beyond the float range raised an OverflowError naming no field
+            pytest.param("p_max", 10 ** 400, id="p_max-10**400"),
+            pytest.param("cell_radius", 10 ** 400, id="cell_radius-10**400"),
+            pytest.param("tol_outer", -(10 ** 400), id="tol_outer--10**400"),
         ],
     )
     def test_invalid_fields_rejected(self, field, value):

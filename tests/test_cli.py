@@ -82,6 +82,19 @@ class TestSweepCommand:
         assert "error: noise_user must be finite, got nan" in capsys.readouterr().err
         assert not (tmp_path / "out" / "results.csv").exists()
 
+    def test_config_integer_beyond_float_range_rejected(self, tmp_path, capsys):
+        # "error: int too large to convert to float" named no field
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"p_max": 1%s}' % ("0" * 400), encoding="utf-8")
+        code = main([
+            "sweep", "--config", str(cfg), "--values", "10",
+            "--schemes", "baseline1", "--realizations", "1",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "error: p_max must fit in a float" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "text,message",
         [
