@@ -225,15 +225,15 @@ def solve(
     q - min q in the objective's own units (bits). It is taken at the start
     of each iteration with one ``eigvalsh``, so a start that passes it is
     returned without a projection, and the gap at the returned point is
-    ``residual``. Two other exits are ``converged``: a trial that moves the
-    point by eigendecomposition noise only, and backtracking that accepts no
-    step while the gap is at most ``10 * tol * (1 + |q|)`` (else a numerical
-    failure). ``step_size`` is the first trial step, clamped to [1, 1e8] so
-    that a step collapsed at the end of one solve cannot fake the first of
-    these in the next. The next trial step at exit is reported as
-    ``SolverReport.step_size``, for a caller that solves a sequence of
-    similar subproblems, and the spectrum of the returned point as
-    ``SolverReport.eigenvalues``.
+    ``residual``. Two other exits stop at float precision: a trial that
+    moves the point by eigendecomposition noise only, and backtracking that
+    accepts no step. They are ``converged`` when the gap is at most
+    ``10 * tol * (1 + |q|)``, else a numerical failure; a trial too short to
+    move the point first retries at the longest step, 1e8. ``step_size`` is
+    the first trial step, clamped to [1, 1e8]. The next trial step at exit
+    is reported as ``SolverReport.step_size``, for a caller that solves a
+    sequence of similar subproblems, and the spectrum of the returned point
+    as ``SolverReport.eigenvalues``.
     """
     eigs = _check_start(start, spec.p_max, eigenvalues)
     n = start.Z.shape[0]
@@ -258,26 +258,28 @@ def solve(
         if residual <= tol * (1.0 + abs(q)):
             status = SolverStatus.CONVERGED
             break
-        x_norm = float(np.sqrt(x.dot(x)))
+        # stationary to float precision, or a genuine failure
+        near = residual <= 10.0 * tol * (1.0 + abs(q))
+        float_exit = SolverStatus.CONVERGED if near else SolverStatus.NUMERICAL_FAILURE
+        x_norm = math.sqrt(x.dot(x))
         for _ in range(MAX_BACKTRACKS):
             xt, eigs_t = project(x - delta * g)
             s = xt - x
             step_sq = float(s.dot(s))
-            if np.sqrt(step_sq) <= 1e-13 * (1.0 + x_norm):
-                # below eigendecomposition noise: the map cannot move the point
-                status = SolverStatus.CONVERGED
-                break
+            if math.sqrt(step_sq) <= 1e-13 * (1.0 + x_norm):
+                # below eigendecomposition noise: the map cannot move the
+                # point, so stop, unless a longer trial still can
+                if near or delta >= 1e8:
+                    status = float_exit
+                    break
+                delta = 1e8
+                continue
             vt, qt = _evaluate(spec, xt)
             if qt <= q - (ARMIJO_C / delta) * step_sq:
                 break
             delta *= 0.5
         else:
-            # no step accepted: float-level stationarity or a genuine failure
-            status = (
-                SolverStatus.CONVERGED
-                if residual <= 10.0 * tol * (1.0 + abs(q))
-                else SolverStatus.NUMERICAL_FAILURE
-            )
+            status = float_exit  # no step accepted
         if status is not SolverStatus.MAX_ITERS:
             break
         gt = _gradient(spec, vt)

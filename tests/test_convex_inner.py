@@ -368,10 +368,11 @@ class TestGapCertificate:
         )
         sol, report = solve(spec, start, tol=tol)
         assert report.status != SolverStatus.NUMERICAL_FAILURE
-        # a tight reference, continued from the returned point with its
-        # step; capped, it still ends above the optimum, which only weakens
-        # the checks below
-        _, ref = solve(spec, sol, tol=1e-14, max_iters=1000, step_size=report.step_size)
+        # a tight reference, continued from the returned point with the
+        # longest first trial, so that it can leave a point where a short
+        # one stalls; capped, it still ends above the optimum, which only
+        # weakens the checks below
+        _, ref = solve(spec, sol, tol=1e-14, max_iters=1000, step_size=1e8)
         slack = 1e-12 * (1.0 + abs(ref.objective))
         assert report.objective - ref.objective <= report.residual + slack
         if report.status == SolverStatus.CONVERGED:
@@ -563,6 +564,11 @@ class TestStepSize:
     @example(seed=2, k=3, n=2, log_p_max=6.0, an_enabled=False, log_step=8.0)
     @example(seed=3, k=1, n=1, log_p_max=6.0, an_enabled=True, log_step=9.0)
     @example(seed=4, k=4, n=3, log_p_max=-6.0, an_enabled=False, log_step=-3.0)
+    # a unit trial moved this point by less than float noise, and the solve
+    # stopped there as converged with a gap of 4.7e-4 (1 + |q|)
+    @example(
+        seed=3844124284, k=1, n=1, log_p_max=4.206284823913318, an_enabled=True, log_step=0.0
+    )
     def test_properties_across_scales_and_shapes(
         self, seed, k, n, log_p_max, an_enabled, log_step
     ):
@@ -580,17 +586,9 @@ class TestStepSize:
         assert 0.0 < report.step_size <= 1e8
         assert report.status != SolverStatus.NUMERICAL_FAILURE
         assert gap_matches(report, frank_wolfe_gap(spec, sol, an_enabled))
-        bound = 10 * tol * (1 + abs(report.objective))
-        if report.status == SolverStatus.CONVERGED and report.residual > bound:
-            # only the float-stall exit stops there: a trial at the exit's
-            # step moves the point by rounding alone (seen at N_T = 1 and
-            # p_max >= 8.8e3 W, with gaps up to 2.3e-4 (1 + |q|))
-            g_w, g_z = reference_gradient(spec, sol.W, sol.Z, an_enabled)
-            t = report.step_size
-            W, Z, _ = project_blocks(sol.W - t * g_w, sol.Z - t * g_z, spec.p_max)
-            moved = np.sqrt(np.linalg.norm(W - sol.W) ** 2 + np.linalg.norm(Z - sol.Z) ** 2)
-            size = np.sqrt(np.linalg.norm(sol.W) ** 2 + np.linalg.norm(sol.Z) ** 2)
-            assert moved <= 2e-13 * (1.0 + size)
+        if report.status == SolverStatus.CONVERGED:
+            # the gap test, or a float-level exit within 10 tol
+            assert report.residual <= 10 * tol * (1 + abs(report.objective))
 
     def test_residual_is_the_gap_at_the_returned_point(self, rng):
         for _ in range(20):
@@ -658,7 +656,7 @@ class TestStepSize:
 
     @pytest.mark.parametrize("rng_seed", [11, 12, 13, 14, 15])
     def test_carried_steps_need_no_more_iterations(self, monkeypatch, rng_seed):
-        # on seeds 11-20 the carried run took 74-90% of the reset run's
+        # on seeds 11-20 the carried run took 72-88% of the reset run's
         # iterations (Barzilai-Borwein steps leave the carry less to gain
         # than step doubling did), and never more
         cfg = ScenarioConfig(
@@ -677,9 +675,8 @@ class TestStepSize:
                 sol, report = original(spec, start, **kwargs)
                 iterations.append(report.iterations)
                 if report.status == SolverStatus.CONVERGED:
-                    # the gap test at the default tol=1e-6 that run_sca
-                    # leaves in place
-                    assert report.residual <= 1e-6 * (1 + abs(report.objective))
+                    # the gap test at the tol that run_sca sets
+                    assert report.residual <= kwargs["tol"] * (1 + abs(report.objective))
                 return sol, report
 
             monkeypatch.setattr(convex_inner, "solve", counting_solve)
@@ -691,10 +688,9 @@ class TestStepSize:
         reset, _, reset_rate = run(reset=True)
         assert carried_solves > 1
         assert carried <= reset
-        # both runs stop when f (in bits) changes by at most tol_outer, and
-        # inner solves exact to tol (1 + |q|) let the two paths part at that
-        # level: measured gaps up to 7e-4 (seed 13, 2.5e-3 relative)
-        assert abs(carried_rate - reset_rate) <= cfg.tol_outer
+        # both runs stop at the same outer tolerance; measured gaps <= 2e-5
+        # relative (5e-5 on seeds 16-20)
+        assert abs(carried_rate - reset_rate) <= 1e-4 * abs(reset_rate)
 
     def test_carried_step_does_not_reach_the_cap(self, monkeypatch):
         # a draw with a slowly converging solve: a carried step under the

@@ -24,7 +24,6 @@ from irs_secrecy.metrics import (
 )
 from irs_secrecy.solution import TransmitSolution, hermitize, total_power
 from tests.conftest import (
-    project_blocks,
     random_channelset,
     random_solution,
     random_unit_modulus,
@@ -400,16 +399,15 @@ class TestSpanReduction:
             # the subproblem is flat along some directions, so the two points
             # may differ by more than round-off; but both reach its minimum
             # to the solver's tolerance, and the reduced one passes the
-            # solver's own stopping test on the full-space subproblem
+            # solver's own stopping test, the Frank-Wolfe gap, on the
+            # full-space subproblem
             q = subproblem_objective(spec, reduced.W, reduced.Z)
             tol = 1e-6 * (1 + abs(q))
             assert q == pytest.approx(report.objective, abs=tol)
             g_w, g_z = subproblem_gradient(spec, reduced.W, reduced.Z)
-            W_p, Z_p, _ = project_blocks(reduced.W - g_w, reduced.Z - g_z, p_max)
-            residual = np.sqrt(
-                np.linalg.norm(W_p - reduced.W) ** 2 + np.linalg.norm(Z_p - reduced.Z) ** 2
-            )
-            assert residual <= 10 * tol
+            low = min(np.linalg.eigvalsh(g_w).min(), np.linalg.eigvalsh(g_z).min())
+            inner = np.vdot(g_w, reduced.W).real + np.vdot(g_z, reduced.Z).real
+            assert inner - p_max * min(0.0, low) <= tol
 
     @pytest.mark.parametrize("k, n, collinear", SPAN_CASES)
     def test_records_match_secrecy_rates_at_output(self, rng, k, n, collinear):
