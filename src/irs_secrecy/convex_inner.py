@@ -37,13 +37,18 @@ LOG_GUARD = 1e-12  # reject log arguments below guard * noise constant
 
 
 class SolverStatus(str, Enum):
+    """How :func:`solve` stopped. At each exit the point is feasible and no
+    worse than the start, and ``residual`` is its Frank-Wolfe gap.
+
+    ``converged``: the gap is at most ``tol * (1 + |q|)``; ``max_iters``:
+    the cap; ``stalled``: float precision, a trial that moved the point by
+    eigendecomposition noise only even at the longest step 1e8, or
+    backtracking that accepted no step.
+    """
+
     CONVERGED = "converged"
     MAX_ITERS = "max_iters"
-    NUMERICAL_FAILURE = "numerical_failure"
-
-
-class InnerSolverError(RuntimeError):
-    """Raised when a numerical failure has to propagate with context."""
+    STALLED = "stalled"
 
 
 @dataclass
@@ -218,22 +223,18 @@ def solve(
     then checked on it without a decomposition. The iterate is x over the
     blocks W_1..W_K, Z, and W and Z are split from it once, at exit.
 
-    Stops when the Frank-Wolfe gap (Jaggi, ICML 2013)
-    ``g.x - p_max min(0, lambda_min(G))``, G the gradient as the (K + 1, N, N)
-    Hermitian stack, is at most ``tol * (1 + |q|)``. The gap is the largest
-    decrease of the linearized objective over the feasible set, so it bounds
-    q - min q in the objective's own units (bits). It is taken at the start
-    of each iteration with one ``eigvalsh``, so a start that passes it is
-    returned without a projection, and the gap at the returned point is
-    ``residual``. Two other exits stop at float precision: a trial that
-    moves the point by eigendecomposition noise only, and backtracking that
-    accepts no step. They are ``converged`` when the gap is at most
-    ``10 * tol * (1 + |q|)``, else a numerical failure; a trial too short to
-    move the point first retries at the longest step, 1e8. ``step_size`` is
-    the first trial step, clamped to [1, 1e8]. The next trial step at exit
-    is reported as ``SolverReport.step_size``, for a caller that solves a
-    sequence of similar subproblems, and the spectrum of the returned point
-    as ``SolverReport.eigenvalues``.
+    The exits are those of :class:`SolverStatus`. The Frank-Wolfe gap
+    (Jaggi, ICML 2013) ``g.x - p_max min(0, lambda_min(G))``, G the gradient
+    as the (K + 1, N, N) Hermitian stack, is the largest decrease of the
+    linearized objective over the feasible set, so it bounds q - min q in
+    the objective's own units (bits). It is taken at the start of each
+    iteration with one ``eigvalsh``, so a start that passes the test is
+    returned without a projection. A trial too short to move the point
+    retries at the longest step, 1e8, before the solve stalls. ``step_size``
+    is the first trial step, clamped to [1, 1e8]. The next trial step at
+    exit is reported as ``SolverReport.step_size``, for a caller that solves
+    a sequence of similar subproblems, and the spectrum of the returned
+    point as ``SolverReport.eigenvalues``.
     """
     eigs = _check_start(start, spec.p_max, eigenvalues)
     n = start.Z.shape[0]
@@ -258,9 +259,6 @@ def solve(
         if residual <= tol * (1.0 + abs(q)):
             status = SolverStatus.CONVERGED
             break
-        # stationary to float precision, or a genuine failure
-        near = residual <= 10.0 * tol * (1.0 + abs(q))
-        float_exit = SolverStatus.CONVERGED if near else SolverStatus.NUMERICAL_FAILURE
         x_norm = math.sqrt(x.dot(x))
         for _ in range(MAX_BACKTRACKS):
             xt, eigs_t = project(x - delta * g)
@@ -269,8 +267,8 @@ def solve(
             if math.sqrt(step_sq) <= 1e-13 * (1.0 + x_norm):
                 # below eigendecomposition noise: the map cannot move the
                 # point, so stop, unless a longer trial still can
-                if near or delta >= 1e8:
-                    status = float_exit
+                if delta >= 1e8:
+                    status = SolverStatus.STALLED
                     break
                 delta = 1e8
                 continue
@@ -279,7 +277,7 @@ def solve(
                 break
             delta *= 0.5
         else:
-            status = float_exit  # no step accepted
+            status = SolverStatus.STALLED  # no step accepted
         if status is not SolverStatus.MAX_ITERS:
             break
         gt = _gradient(spec, vt)

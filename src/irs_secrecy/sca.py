@@ -16,7 +16,7 @@ import numpy as np
 
 from . import convex_inner
 from .channels import ChannelSet
-from .convex_inner import InnerSolverError, SolverStatus, SubproblemSpec
+from .convex_inner import SolverStatus, SubproblemSpec
 from .metrics import (
     LN2,
     _expansion,
@@ -211,6 +211,10 @@ def run_sca(
 ) -> tuple[TransmitSolution, RunHistory]:
     """Iterate linearize-and-solve until |f change| <= tol, tracking f.
 
+    A ``stalled`` inner solve's point is kept too (no worse on the
+    surrogate, so f does not rise); ``history.status`` is ``stalled`` when
+    the stop fires right after one, else ``converged`` or ``max_iters``.
+
     f, and every SCA surrogate, reads W_k and Z only through the quadratic
     forms h_k^H X h_k and b^H X b, with h_k and b in S = span{h_1..h_K, b}.
     So P X P, with P the projector onto S, is as good as X and uses no more
@@ -288,11 +292,6 @@ def run_sca(
             spec, TransmitSolution(W=W, Z=Z, u=u), tol=INNER_TOL, step_size=step_size,
             eigenvalues=eigs,
         )
-        if report.status == SolverStatus.NUMERICAL_FAILURE:
-            raise InnerSolverError(
-                f"inner solver failed at SCA iteration {i} "
-                f"(residual {report.residual:.3e}, objective {report.objective:.6e})"
-            )
         W, Z, eigs = sol_i.W, sol_i.Z, report.eigenvalues
         step_size = report.step_size
         f_prev = f
@@ -311,7 +310,8 @@ def run_sca(
             )
         )
         if abs(f - f_prev) <= tol:
-            history.status = "converged"
+            stalled = report.status == SolverStatus.STALLED
+            history.status = "stalled" if stalled else "converged"
             break
     history.step_size = step_size
     if q is not None:

@@ -317,6 +317,22 @@ class TestRunSca:
             assert np.all(sol.Z == 0)
             assert hist.is_monotone(slack=1e-6)
 
+    @pytest.mark.parametrize("draw", [35, 37])
+    def test_stalled_inner_solve_does_not_end_the_run(self, draw):
+        # K = 1 at 3.7e5 and 1.9e5 W: an inner solve stalls at float
+        # precision with a gap above 10 tol (rounds 16 and 12); its point is
+        # feasible and no worse than its start, so the run goes on from it
+        rng = np.random.default_rng(5)
+        for _ in range(draw + 1):
+            nt = int(rng.integers(2, 9))
+            ch = random_channelset(rng, num_users=1, num_irs=4, num_bs=nt)
+            u = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
+            p_max = float(10 ** rng.uniform(-6, 6))
+        sol, hist = run_sca(u, ch, p_max, tol=1e-9, max_iters=20)
+        sol.validate(p_max)
+        assert hist.is_monotone()
+        assert hist.status in {"converged", "max_iters", "stalled"}
+
 
 def span_projector(u, ch):
     """Projector onto S = span{h_1..h_K, b}, from an SVD with its own rank cut."""
