@@ -33,6 +33,7 @@ from .solution import TransmitSolution
 
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 60
+MAX_STEP = 1e8  # the only bound on a trial step
 LOG_GUARD = 1e-12  # reject log arguments below guard * noise constant
 
 
@@ -42,7 +43,7 @@ class SolverStatus(str, Enum):
 
     ``converged``: the gap is at most ``tol * (1 + |q|)``; ``max_iters``:
     the cap; ``stalled``: float precision, a trial that moved the point by
-    eigendecomposition noise only even at the longest step 1e8, or
+    eigendecomposition noise only even at the longest step ``MAX_STEP``, or
     backtracking that accepted no step.
     """
 
@@ -121,10 +122,10 @@ class SolverReport:
     iterations: int
     residual: float  # Frank-Wolfe gap at the returned point, >= objective - min
     status: SolverStatus
-    step_size: float = 1.0  # first trial step of the next iteration at exit
+    step_size: float  # first trial step of the next iteration at exit
     # (K + 1, N_T) eigenvalues of the returned W_1..W_K, Z, ascending per
     # matrix: the ones the projection assigned, or the start's
-    eigenvalues: np.ndarray | None = field(default=None, compare=False, repr=False)
+    eigenvalues: np.ndarray = field(compare=False, repr=False)
 
 
 def _evaluate(spec: SubproblemSpec, x: np.ndarray):
@@ -209,19 +210,23 @@ def solve(
     Spectral projected gradient (Birgin, Martinez & Raydan, SIAM J. Optim.
     2000) with a monotone Armijo search: each iteration tries the step
     ``delta`` first and halves it until ``q(X+) <= q(X) - (c/delta)||s||^2``.
-    After an accepted step s = X+ - X with gradient change
-    y = grad(X+) - grad(X), the next first trial is the Barzilai-Borwein
-    step <s, s> / <s, y> (Barzilai & Borwein, IMA J. Numer. Anal. 1988),
-    clamped to [1e-8, 1e8]; it is 1e8 when <s, y> <= 0. The floor is far
-    below a unit step because on unit-scale channels the curvature puts
-    almost every BB step below 1. The gradient of each accepted point is
-    computed once and serves both <s, y> and the next iteration. The start
-    is used as given, neither projected nor symmetrized again:
+    The start is used as given, neither projected nor symmetrized again:
     ``start.validate`` has accepted it. A caller that has the start's
     (K + 1, N_T) spectrum passes it as ``eigenvalues`` (in a sequence of
     solves, the previous ``SolverReport.eigenvalues``), and the start is
     then checked on it without a decomposition. The iterate is x over the
     blocks W_1..W_K, Z, and W and Z are split from it once, at exit.
+
+    Every trial step is at most ``MAX_STEP`` and has no lower bound. The
+    first is ``step_size``, which must be positive. After an accepted step s = X+ - X with gradient
+    change y = grad(X+) - grad(X) (each accepted point's gradient is computed
+    once), the next is the Barzilai-Borwein step <s, s> / <s, y> (Barzilai &
+    Borwein, IMA J. Numer. Anal. 1988), or ``MAX_STEP`` when <s, y> <= 0. A
+    trial that moves the point by at most ``1e-13 ||X||``, eigendecomposition
+    noise, retries at ``MAX_STEP``, so a collapsed step cannot end the solve.
+    The next first trial at exit is ``SolverReport.step_size``, for a caller
+    that solves a sequence of similar subproblems, and the spectrum of the
+    returned point is ``SolverReport.eigenvalues``.
 
     The exits are those of :class:`SolverStatus`. The Frank-Wolfe gap
     (Jaggi, ICML 2013) ``g.x - p_max min(0, lambda_min(G))``, G the gradient
@@ -229,13 +234,10 @@ def solve(
     linearized objective over the feasible set, so it bounds q - min q in
     the objective's own units (bits). It is taken at the start of each
     iteration with one ``eigvalsh``, so a start that passes the test is
-    returned without a projection. A trial too short to move the point
-    retries at the longest step, 1e8, before the solve stalls. ``step_size``
-    is the first trial step, clamped to [1, 1e8]. The next trial step at
-    exit is reported as ``SolverReport.step_size``, for a caller that solves
-    a sequence of similar subproblems, and the spectrum of the returned
-    point as ``SolverReport.eigenvalues``.
+    returned without a projection.
     """
+    if not step_size > 0.0:  # written so that NaN fails too
+        raise ValueError(f"step_size must be positive, got {step_size}")
     eigs = _check_start(start, spec.p_max, eigenvalues)
     n = start.Z.shape[0]
     x = _flatten(start.W, start.Z)
@@ -250,7 +252,7 @@ def solve(
 
     v, q = _evaluate(spec, x)
     g = _gradient(spec, v)
-    delta = min(max(step_size, 1.0), 1e8)
+    delta = min(step_size, MAX_STEP)
     status = SolverStatus.MAX_ITERS
     iterations = 0
 
@@ -264,13 +266,13 @@ def solve(
             xt, eigs_t = project(x - delta * g)
             s = xt - x
             step_sq = float(s.dot(s))
-            if math.sqrt(step_sq) <= 1e-13 * (1.0 + x_norm):
+            if math.sqrt(step_sq) <= 1e-13 * x_norm:
                 # below eigendecomposition noise: the map cannot move the
                 # point, so stop, unless a longer trial still can
-                if delta >= 1e8:
+                if delta >= MAX_STEP:
                     status = SolverStatus.STALLED
                     break
-                delta = 1e8
+                delta = MAX_STEP
                 continue
             vt, qt = _evaluate(spec, xt)
             if qt <= q - (ARMIJO_C / delta) * step_sq:
@@ -282,7 +284,7 @@ def solve(
             break
         gt = _gradient(spec, vt)
         sy = float(s.dot(gt - g))
-        delta = min(max(step_sq / sy, 1e-8), 1e8) if sy > 0.0 else 1e8
+        delta = min(step_sq / sy, MAX_STEP) if sy > 0.0 else MAX_STEP
         x, q, g, eigs = xt, qt, gt, eigs_t
     else:
         residual = frank_wolfe_gap(x, g)

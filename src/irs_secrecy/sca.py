@@ -168,13 +168,9 @@ def default_start(
     return TransmitSolution(W=W, Z=Z, u=np.asarray(u, dtype=complex))
 
 
-def max_rank_residual(W: np.ndarray) -> float:
-    """Largest second-to-first eigenvalue ratio across the user covariances."""
-    return _max_rank_ratio(np.linalg.eigvalsh(hermitize(W)))
-
-
 def _max_rank_ratio(vals: np.ndarray) -> float:
-    """:func:`max_rank_residual` from (K, N) eigenvalues, ascending per row."""
+    """Largest rank-one defect (:func:`extract_rank_one`) across the user
+    covariances, from their (K, N) eigenvalues, ascending per row."""
     if vals.shape[1] < 2:
         return 0.0
     top = vals[:, -1]
